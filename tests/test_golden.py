@@ -1,0 +1,107 @@
+"""Golden values of fixed-seed ``mint_test`` calls at the acceptance shapes.
+
+Criterion 11 compares two runs of the same code, so it cannot see a drift
+that a change to the bootstrap introduces. This module can: it compares
+``null_samples`` and ``threshold`` against values stored in
+``golden_mint.json`` at rtol 1e-12 (room for a reordered floating-point
+sum, nothing more) and requires ``reject`` and the full-data ``statistic``
+to be identical.
+
+A change that alters results on purpose re-records the file with
+``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mechindep as mi
+from mechindep.harness import resolve_feature_specs
+
+GOLDEN_PATH = Path(__file__).with_name("golden_mint.json")
+RTOL = 1e-12
+
+# name -> (generator, generator config, feature params or explicit specs, M, seed).
+# Each case keeps the per-environment shape of its criterion (sample size,
+# feature dimensions and M), which fixes how the bootstrap Gram is summed;
+# K is smaller, since environments are refit independently.
+CASES = {
+    "c2_poly_n200": (
+        "polynomial", mi.PolynomialConfig(8, 200, 1, 1), {}, 1000, 11,
+    ),
+    "c4_linear_n1000": (
+        "linear_example",
+        mi.LinearExampleConfig(
+            n_envs=6, n_per_env=1000, alpha_u=0.25, beta_u=0.25, beta_au=0.25,
+            varying=frozenset({"alpha0"}),
+        ),
+        {}, 500, 12,
+    ),
+    "c6_poly_n200_deg1_features": (
+        "polynomial", mi.PolynomialConfig(6, 200, 1, 2), {"feature_degree": 1}, 1000, 13,
+    ),
+    "c6_poly_n200_confounded": (
+        "polynomial", mi.PolynomialConfig(6, 200, 1, 2, confounded=True),
+        {"feature_degree": 2}, 1000, 14,
+    ),
+    "c7_poly_n100_deg10_features": (
+        "polynomial", mi.PolynomialConfig(6, 100, 1, 2), {"feature_degree": 10}, 1000, 15,
+    ),
+    "tall_linear_n10000": (
+        "linear_example",
+        mi.LinearExampleConfig(n_envs=3, n_per_env=10_000, varying=frozenset({"alpha0"})).confounded(),
+        {}, 500, 16,
+    ),
+    # Treatment features are not a prefix of the outcome features.
+    "split_specs_poly_n300": (
+        "polynomial", mi.PolynomialConfig(6, 300, 2, 2, confounded=True),
+        (mi.treatment_spec(2, include_intercept=False), mi.outcome_spec(1)), 200, 17,
+    ),
+}
+
+
+def run_case(name: str) -> mi.TestResult:
+    generator, config, features, M, seed = CASES[name]
+    make = mi.generate_linear_example if generator == "linear_example" else mi.generate_polynomial
+    dataset, _ = make(config, np.random.default_rng(seed))
+    if isinstance(features, dict):
+        psi, phi = resolve_feature_specs(generator, config, features)
+    else:
+        psi, phi = features
+    return mi.mint_test(dataset, psi, phi, alpha=0.05, M=M, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name, golden):
+    result = run_case(name)
+    expected = golden[name]
+    assert result.statistic == expected["statistic"]
+    np.testing.assert_allclose(result.null_samples, expected["null_samples"], rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(result.threshold, expected["threshold"], rtol=RTOL, atol=0.0)
+    assert result.reject == expected["reject"]
+
+
+def test_cases_and_file_agree(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    records = {}
+    for name in CASES:
+        result = run_case(name)
+        records[name] = {
+            "statistic": result.statistic,
+            "threshold": result.threshold,
+            "reject": bool(result.reject),
+            "null_samples": [float(v) for v in result.null_samples],
+        }
+    lines = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in records.items())
+    GOLDEN_PATH.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
+    print(f"wrote {len(records)} cases to {GOLDEN_PATH}")

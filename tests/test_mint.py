@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from mechindep import (
     MultiEnvDataset,
     ValidationError,
     bootstrap_refit,
+    build_outcome_features,
+    build_treatment_features,
     calibrate_threshold,
     fit_mechanisms,
     frobenius_statistic,
@@ -14,6 +18,7 @@ from mechindep import (
     permutation_test,
     treatment_spec,
 )
+from mechindep import mint as mint_module
 from mechindep.mint import SMALL_K_WARNING
 
 
@@ -195,6 +200,102 @@ class TestBootstrapRefit:
             est = bootstrap_refit(ds, psi, phi, rng=np.random.default_rng(seed))
             assert np.all(np.isfinite(est.omegas))
             assert np.all(np.isfinite(est.gammas))
+
+
+def resampled_lstsq(dataset, psi_spec, phi_spec, M, seed):
+    """Oracle for the batched bootstrap: lstsq on materialized resampled rows."""
+    rng = np.random.default_rng(seed)
+    omegas = np.empty((M, dataset.n_envs, psi_spec.output_dim(dataset.d)))
+    gammas = np.empty((M, dataset.n_envs, phi_spec.output_dim(dataset.d)))
+    for s, block in enumerate(dataset.blocks):
+        idx = rng.integers(0, block.n, size=(M, block.n))
+        psi = build_treatment_features(block.X, psi_spec)
+        phi = build_outcome_features(block.X, block.A, phi_spec)
+        for m in range(M):
+            counts = np.bincount(idx[m], minlength=block.n)
+            rows = np.repeat(np.arange(block.n), counts)
+            omegas[m, s] = np.linalg.lstsq(psi[rows], block.A[rows], rcond=None)[0]
+            gammas[m, s] = np.linalg.lstsq(phi[rows], block.Y[rows], rcond=None)[0]
+    return omegas, gammas
+
+
+class TestBatchedBootstrapFits:
+    def test_chunked_draws_match_one_chunk(self, monkeypatch):
+        # Small-integer data make every Gram entry an exact integer, so the
+        # fits are bit-identical whatever the chunking. At odd n, chunks of 3
+        # rows counted 2 rows at a time leave ragged ends at M = 20.
+        rng = np.random.default_rng(12)
+        blocks = tuple(
+            EnvironmentBlock(
+                f"e{s}",
+                rng.integers(-3, 4, size=(61, 1)).astype(float),
+                rng.integers(-3, 4, size=61).astype(float),
+                rng.integers(-3, 4, size=61).astype(float),
+            )
+            for s in range(3)
+        )
+        ds = MultiEnvDataset(blocks)
+        psi, phi = treatment_spec(1), outcome_spec(1, interactions=True)
+        fit = mint_module._batched_bootstrap_fits
+        one = fit(ds, psi, phi, 20, 1e-8, np.random.default_rng(4))
+        monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", 3 * 61 + 5)
+        monkeypatch.setattr(mint_module, "_BINCOUNT_ELEMENTS", 2 * 61)
+        chunked = fit(ds, psi, phi, 20, 1e-8, np.random.default_rng(4))
+        np.testing.assert_array_equal(chunked[0], one[0])
+        np.testing.assert_array_equal(chunked[1], one[1])
+
+    @pytest.mark.parametrize(
+        "psi,phi",
+        [
+            (treatment_spec(1), outcome_spec(1, interactions=True, square=True)),
+            (treatment_spec(2), outcome_spec(1)),
+            (treatment_spec(1, include_intercept=False), outcome_spec(1)),
+            (treatment_spec(2), outcome_spec(3, include_intercept=False)),
+        ],
+    )
+    def test_matches_lstsq_on_resampled_rows(self, psi, phi, monkeypatch):
+        from mechindep import PolynomialConfig, generate_polynomial
+
+        config = PolynomialConfig(3, 41, 2, 2, confounded=True)
+        ds = generate_polynomial(config, np.random.default_rng(13))[0]
+        monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", 7 * 41)
+        monkeypatch.setattr(mint_module, "_BINCOUNT_ELEMENTS", 3 * 41)
+        omegas, gammas = mint_module._batched_bootstrap_fits(
+            ds, psi, phi, 16, 1e-8, np.random.default_rng(5)
+        )
+        want_omegas, want_gammas = resampled_lstsq(ds, psi, phi, 16, 5)
+        np.testing.assert_allclose(omegas, want_omegas, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(gammas, want_gammas, rtol=1e-8, atol=1e-10)
+
+    def test_int32_draws_follow_the_int64_stream(self):
+        # The bootstrap draws row indices as int32 in chunks; both must
+        # consume the generator exactly as one int64 (M, n) draw does.
+        for n, M, rows in ((7, 10, 3), (101, 13, 4), (2, 9, 9)):
+            ref = np.random.default_rng(6)
+            got = np.random.default_rng(6)
+            want = ref.integers(0, n, size=(M, n))
+            parts = [
+                got.integers(0, n, size=(min(rows, M - i), n), dtype=np.int32)
+                for i in range(0, M, rows)
+            ]
+            np.testing.assert_array_equal(np.vstack(parts), want)
+            assert ref.integers(0, 2**40) == got.integers(0, 2**40)
+
+    def test_peak_memory_does_not_grow_with_M(self):
+        # Resample counts are drawn in bounded chunks, so M only adds the
+        # O(M * K * p^2) moments and statistics, far below 8 MB here.
+        ds = make_dataset(K=2, n=20_000, seed=14)
+        psi, phi = treatment_spec(1), outcome_spec(1)
+
+        def peak(M):
+            tracemalloc.start()
+            try:
+                mint_test(ds, psi, phi, M=M, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(800) - peak(100) < 8 * 2**20
 
 
 class TestMintTest:
