@@ -11,11 +11,9 @@ variant, and a reproducible benchmark harness with a CLI.
 from .baselines import (
     FULL_INTERACTION,
     INTERCEPT_SHIFT,
-    PartialCorrelation,
     PValueBundle,
     combine_fisher,
     combine_tippett,
-    partial_correlation,
     transportability_test,
 )
 from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset
@@ -62,19 +60,16 @@ from .harness import (
     run_benchmark,
     run_method,
     semi_synthetic_generate,
-    standardize_covariates,
 )
 from .io import (
     CsvSchema,
     load_covariate_panel,
     load_csv_dataset,
     save_csv_dataset,
-    save_test_result,
 )
 from .kernel import (
     KernelSpec,
     gram,
-    kernel_dual,
     kernel_mint_test,
     kernel_statistic,
     resolve_bandwidth,
@@ -91,9 +86,6 @@ from .special import (
     chi2_survival,
     f_critical_value,
     f_survival,
-    regularized_incomplete_beta,
-    regularized_upper_gamma,
-    student_t_two_sided_pvalue,
 )
 
 __version__ = "0.1.0"
@@ -120,7 +112,6 @@ __all__ = [
     "NumericalError",
     "OracleParams",
     "PValueBundle",
-    "PartialCorrelation",
     "PolynomialConfig",
     "RankDeficientError",
     "SemiSyntheticSpec",
@@ -143,7 +134,6 @@ __all__ = [
     "generate_linear_example",
     "generate_polynomial",
     "gram",
-    "kernel_dual",
     "kernel_mint_test",
     "kernel_statistic",
     "least_squares_fit",
@@ -153,19 +143,13 @@ __all__ = [
     "mint_test",
     "oracle_params_from_env",
     "outcome_spec",
-    "partial_correlation",
     "permutation_test",
-    "regularized_incomplete_beta",
-    "regularized_upper_gamma",
     "resolve_bandwidth",
     "run_benchmark",
     "run_method",
     "save_csv_dataset",
-    "save_test_result",
     "semi_synthetic_generate",
     "special_case_closed_form",
-    "standardize_covariates",
-    "student_t_two_sided_pvalue",
     "transportability_test",
     "treatment_spec",
 ]

@@ -8,8 +8,7 @@ either gives every environment its own coefficient vector
 (``full_interaction``, the default) or adds per-environment intercept shifts
 only (``intercept_shift``).
 
-Also here: Pearson partial correlation with its t-based p-value, and the
-Fisher / Tippett p-value combiners.
+Also here: the Fisher / Tippett p-value combiners.
 """
 
 from __future__ import annotations
@@ -19,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiEnvDataset, as_float_vector
+from .dataset import MultiEnvDataset
 from .errors import ValidationError
 from .estimation import _lstsq_full_rank
 from .features import FeatureSpec, build_outcome_features
 from .mint import METHOD_TRANSPORTABILITY, SMALL_K_WARNING, TestResult
-from .special import chi2_survival, f_critical_value, f_survival, student_t_two_sided_pvalue
+from .special import chi2_survival, f_critical_value, f_survival
 
 FULL_INTERACTION = "full_interaction"
 INTERCEPT_SHIFT = "intercept_shift"
@@ -49,59 +48,6 @@ class PValueBundle:
         if self.method not in ("fisher", "tippett"):
             raise ValidationError(f"unknown combination method {self.method!r}")
         object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class PartialCorrelation:
-    r: float
-    p_value: float
-
-
-def partial_correlation(x, y, Z=None) -> PartialCorrelation:
-    """Pearson partial correlation of x and y given Z, with two-sided p-value.
-
-    Both variables are residualized on ``[1, Z]`` by least squares; the
-    p-value comes from ``t = r * sqrt((n - q - 2) / (1 - r^2))`` on
-    ``n - q - 2`` degrees of freedom, ``q`` the number of conditioning
-    columns. ``Z=None`` (or zero columns) gives the plain correlation test.
-    """
-    x = as_float_vector(x, "x")
-    y = as_float_vector(y, "y")
-    n = x.shape[0]
-    if y.shape[0] != n:
-        raise ValidationError(f"x and y disagree on length: {n} vs {y.shape[0]}")
-    if Z is None:
-        Z = np.empty((n, 0))
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    if Z.shape[0] != n:
-        raise ValidationError(f"Z must have {n} rows, got {Z.shape[0]}")
-    q = Z.shape[1]
-    if n <= q + 2:
-        raise ValidationError(f"need n > q + 2, got n={n}, q={q}")
-    design = np.column_stack([np.ones(n), Z])
-    rank = np.linalg.matrix_rank(design)
-    if rank < design.shape[1]:
-        raise ValidationError("conditioning matrix Z is rank deficient")
-    coef_x, _, _, _ = np.linalg.lstsq(design, x, rcond=None)
-    coef_y, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    rx = x - design @ coef_x
-    ry = y - design @ coef_y
-    sx = float(np.linalg.norm(rx))
-    sy = float(np.linalg.norm(ry))
-    # A residual at rounding-noise level means the variable is exactly
-    # explained by [1, Z]; the correlation of what remains is meaningless.
-    tol_x = 1e-12 * max(float(np.linalg.norm(x)), 1.0)
-    tol_y = 1e-12 * max(float(np.linalg.norm(y)), 1.0)
-    if sx <= tol_x or sy <= tol_y:
-        raise ValidationError("degenerate partial correlation: zero-variance residuals")
-    r = float(np.clip(rx @ ry / (sx * sy), -1.0, 1.0))
-    df = n - q - 2
-    if 1.0 - r * r <= 0.0:
-        return PartialCorrelation(r=r, p_value=0.0)
-    t = r * math.sqrt(df / (1.0 - r * r))
-    return PartialCorrelation(r=r, p_value=student_t_two_sided_pvalue(t, df))
 
 
 def _bundle_values(bundle) -> tuple[float, ...]:

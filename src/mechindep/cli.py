@@ -7,7 +7,8 @@ Subcommands:
 * ``benchmark`` - run a falsification-rate sweep from an experiment config JSON
 * ``semisynth`` - build a semi-synthetic dataset CSV from a covariate CSV
 
-Exit codes: 0 success, 1 validation/configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 usage, validation or configuration error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -42,31 +43,24 @@ from .kernel import KernelSpec, kernel_mint_test
 from .mint import METHOD_KERNEL_MINT, METHOD_MINT, METHOD_TRANSPORTABILITY, mint_test
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    # A usage error is a validation error (exit 1); argparse's own exit
+    # code 2 would read as a numerical failure.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
+def _seed_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    parser.add_argument(
-        "--resamples", type=int, default=1000, help="Monte Carlo resamples M"
-    )
-    parser.add_argument(
-        "--method",
-        choices=["mint", "transportability", "kernel_mint"],
-        default="mint",
-        help="falsification method",
-    )
-    parser.add_argument(
-        "--no-bootstrap",
-        action="store_true",
-        help="calibrate by permutation only (skip bootstrap refits)",
-    )
+
+
+def _output_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", type=Path, default=None, help="output file path")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="parallel repetitions (benchmark)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mechindep",
         description=(
             "Falsify no-unmeasured-confounding on multi-environment data by "
@@ -77,12 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="emit a dataset CSV from a generator config")
     p_sim.add_argument("--config", type=Path, required=True, help="generator config JSON")
-    _common_flags(p_sim)
+    _seed_flag(p_sim)
+    _output_flag(p_sim)
 
     p_test = sub.add_parser("test", help="run one method on a dataset CSV")
     p_test.add_argument("--input", type=Path, required=True, help="dataset CSV")
     p_test.add_argument(
-        "--feature-degree", type=int, default=1, help="polynomial degree of both models"
+        "--feature-degree",
+        type=int,
+        default=None,
+        help="polynomial degree of both models (default 1)",
     )
     p_test.add_argument(
         "--interactions",
@@ -111,7 +109,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--kernel-lambda", type=float, default=1e-3, help="kernel ridge strength"
     )
-    _common_flags(p_test)
+    _seed_flag(p_test)
+    p_test.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p_test.add_argument(
+        "--resamples", type=int, default=1000, help="Monte Carlo resamples M"
+    )
+    p_test.add_argument(
+        "--method",
+        choices=[METHOD_MINT, METHOD_TRANSPORTABILITY, METHOD_KERNEL_MINT],
+        default=METHOD_MINT,
+        help="falsification method",
+    )
+    p_test.add_argument(
+        "--no-bootstrap",
+        action="store_true",
+        help="calibrate by permutation only (skip bootstrap refits; mint only)",
+    )
+    _output_flag(p_test)
 
     p_bench = sub.add_parser("benchmark", help="run an experiment config sweep")
     p_bench.add_argument("--config", type=Path, required=True, help="experiment config JSON")
@@ -120,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fill the seconds column (breaks byte-for-byte reproducibility)",
     )
-    _common_flags(p_bench)
+    p_bench.add_argument("--threads", type=int, default=1, help="parallel repetitions")
+    _output_flag(p_bench)
 
     p_semi = sub.add_parser(
         "semisynth", help="build a semi-synthetic dataset from a covariate CSV"
@@ -137,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="leave unexposed confounders in the generating equations",
     )
-    _common_flags(p_semi)
+    _seed_flag(p_semi)
+    _output_flag(p_semi)
 
     return parser
 
@@ -179,18 +195,23 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_test(args) -> None:
-    dataset = load_csv_dataset(args.input)
     method = args.method
-    if method == METHOD_MINT:
-        psi = treatment_spec(degree=args.feature_degree)
-        phi = outcome_spec(
-            degree=args.feature_degree,
-            interactions=args.interactions,
-            square=args.square,
+    if args.no_bootstrap and method != METHOD_MINT:
+        raise ValidationError(f"--no-bootstrap applies only to --method {METHOD_MINT}")
+    if method == METHOD_KERNEL_MINT and (
+        args.feature_degree is not None or args.interactions or args.square
+    ):
+        raise ValidationError(
+            "--feature-degree, --interactions and --square do not apply to "
+            f"--method {METHOD_KERNEL_MINT}"
         )
+    dataset = load_csv_dataset(args.input)
+    degree = 1 if args.feature_degree is None else args.feature_degree
+    phi = outcome_spec(degree=degree, interactions=args.interactions, square=args.square)
+    if method == METHOD_MINT:
         result = mint_test(
             dataset,
-            psi,
+            treatment_spec(degree=degree),
             phi,
             alpha=args.alpha,
             M=args.resamples,
@@ -198,11 +219,6 @@ def _cmd_test(args) -> None:
             use_bootstrap=not args.no_bootstrap,
         )
     elif method == METHOD_TRANSPORTABILITY:
-        phi = outcome_spec(
-            degree=args.feature_degree,
-            interactions=args.interactions,
-            square=args.square,
-        )
         result = transportability_test(
             dataset, phi, variant=args.variant, alpha=args.alpha
         )
@@ -264,9 +280,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _COMMANDS[args.command](args)
     except BenchmarkError as exc:
         cause = exc.__cause__

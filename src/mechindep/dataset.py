@@ -135,17 +135,6 @@ class MultiEnvDataset:
     def min_size(self) -> int:
         return min(self.sizes)
 
-    def with_covariates(self, new_X: list[np.ndarray]) -> "MultiEnvDataset":
-        """Return a copy with each block's X replaced (A, Y untouched)."""
-        if len(new_X) != self.n_envs:
-            raise ValidationError("need one covariate matrix per environment")
-        return MultiEnvDataset(
-            tuple(
-                EnvironmentBlock(b.env_id, X, b.A, b.Y)
-                for b, X in zip(self.blocks, new_X)
-            )
-        )
-
 
 @dataclass(frozen=True)
 class CovariatePanel:

@@ -142,16 +142,9 @@ def least_squares_fit(design, target, ridge: float = 0.0) -> np.ndarray:
     return beta
 
 
-def _fit_with_diagnostics(design: np.ndarray, target: np.ndarray, ridge: float):
+def _fit_with_diagnostics(design: np.ndarray, target: np.ndarray):
     n, m = design.shape
-    if ridge == 0.0:
-        beta, rss, cond = _lstsq_full_rank(design, target)
-    else:
-        beta = least_squares_fit(design, target, ridge)
-        resid = target - design @ beta
-        rss = float(resid @ resid)
-        svals = np.linalg.svd(design, compute_uv=False)
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
+    beta, rss, cond = _lstsq_full_rank(design, target)
     return beta, FitDiagnostics(
         residual_variance=rss / (n - m) if n > m else 0.0,
         design_condition_estimate=max(cond, 1.0),
@@ -175,7 +168,6 @@ def fit_mechanisms(
     dataset: MultiEnvDataset,
     psi_spec: FeatureSpec,
     phi_spec: FeatureSpec,
-    ridge: float = 0.0,
 ) -> MechanismEstimates:
     """Fit both working models separately in every environment.
 
@@ -188,7 +180,7 @@ def fit_mechanisms(
     ValidationError
         If a feature dimension reaches the smallest environment sample size.
     RankDeficientError
-        Propagated from a singular per-environment design at ``ridge == 0``.
+        Propagated from a singular per-environment design.
     """
     z, z_out = check_dimensions(dataset, psi_spec, phi_spec)
     K = dataset.n_envs
@@ -198,7 +190,7 @@ def fit_mechanisms(
     for s, block in enumerate(dataset.blocks):
         psi = build_treatment_features(block.X, psi_spec)
         phi = build_outcome_features(block.X, block.A, phi_spec)
-        omegas[s], d_t = _fit_with_diagnostics(psi, block.A, ridge)
-        gammas[s], d_o = _fit_with_diagnostics(phi, block.Y, ridge)
+        omegas[s], d_t = _fit_with_diagnostics(psi, block.A)
+        gammas[s], d_o = _fit_with_diagnostics(phi, block.Y)
         diags.append(EnvironmentDiagnostics(block.env_id, d_t, d_o))
     return MechanismEstimates(omegas, gammas, tuple(diags), dataset.env_ids)

@@ -17,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import FULL_INTERACTION, INTERCEPT_SHIFT, transportability_test
+from .baselines import FULL_INTERACTION, transportability_test
 from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset
 from .dgp import (
     VARYING_PARAMETER_NAMES,
-    GroundTruth,
-    LinearExampleConfig,
-    PolynomialConfig,
     generate_linear_example,
     generate_polynomial,
 )
@@ -54,8 +51,9 @@ GENERATORS = ("linear_example", "polynomial", "semi_synthetic")
 # Covariate standardization and the semi-synthetic pipeline
 # ---------------------------------------------------------------------------
 
-def _pooled_column_stats(matrices: list[np.ndarray]):
-    pooled = np.vstack(matrices)
+def _standardize_panel(panel: CovariatePanel) -> CovariatePanel:
+    """Rescale covariates to pooled mean 0 and variance 1."""
+    pooled = np.vstack([X for _, X in panel.blocks])
     mean = pooled.mean(axis=0)
     var = pooled.var(axis=0)  # population variance: {0, 2} -> {-1, +1}
     zero = np.flatnonzero(var == 0.0)
@@ -63,17 +61,7 @@ def _pooled_column_stats(matrices: list[np.ndarray]):
         raise ValidationError(
             f"zero-variance covariate column(s): {[int(j) for j in zero]}"
         )
-    return mean, np.sqrt(var)
-
-
-def standardize_covariates(dataset: MultiEnvDataset) -> MultiEnvDataset:
-    """Rescale covariates to pooled mean 0 and variance 1; A and Y untouched."""
-    mean, std = _pooled_column_stats([b.X for b in dataset.blocks])
-    return dataset.with_covariates([(b.X - mean) / std for b in dataset.blocks])
-
-
-def _standardize_panel(panel: CovariatePanel) -> CovariatePanel:
-    mean, std = _pooled_column_stats([X for _, X in panel.blocks])
+    std = np.sqrt(var)
     return CovariatePanel(
         tuple((env, (X - mean) / std) for env, X in panel.blocks)
     )

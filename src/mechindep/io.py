@@ -223,7 +223,7 @@ def _render(obj, indent: int) -> str:
     raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def test_result_to_dict(result: TestResult, include_null_samples: bool = True) -> dict:
+def test_result_to_dict(result: TestResult) -> dict:
     out = {
         "schema_version": SCHEMA_VERSION,
         "method": result.method,
@@ -236,15 +236,11 @@ def test_result_to_dict(result: TestResult, include_null_samples: bool = True) -
         "seed": result.seed,
         "warnings": list(result.warnings),
     }
-    if include_null_samples and result.null_samples is not None:
+    if result.null_samples is not None:
         out["null_samples"] = [float(v) for v in result.null_samples]
     else:
         out["null_samples"] = None
     return out
-
-
-def save_test_result(result: TestResult, path) -> None:
-    Path(path).write_text(dumps_json(test_result_to_dict(result)), encoding="utf-8")
 
 
 _GENERATOR_CONFIGS = {

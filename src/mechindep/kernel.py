@@ -19,17 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from .dataset import MultiEnvDataset, as_float_matrix, as_float_vector
+from .dataset import MultiEnvDataset, as_float_matrix
 from .errors import NumericalError, ValidationError
 from .mint import (
     METHOD_KERNEL_MINT,
-    SMALL_K_WARNING,
     TestResult,
-    _mc_p_value,
+    _calibrated_result,
     _random_permutations,
-    calibrate_threshold,
 )
 
 MEDIAN_HEURISTIC = "median_heuristic"
@@ -116,43 +113,6 @@ def gram(Xa, Xb, spec: KernelSpec) -> np.ndarray:
             "rbf bandwidth is unresolved; call resolve_bandwidth first"
         )
     return np.exp(-_squared_distances(Xa, Xb) / (2.0 * spec.bandwidth**2))
-
-
-def kernel_dual(G, target, lam: float) -> np.ndarray:
-    """Dual ridge coefficients: solve ``(G + n*lam*I) c = target``.
-
-    ``G`` must be symmetric positive semi-definite; a failed Cholesky
-    factorization is reported as a non-PSD Gram matrix.
-    """
-    G = as_float_matrix(G, "G")
-    target = as_float_vector(target, "target")
-    n = G.shape[0]
-    if G.shape[1] != n:
-        raise ValidationError(f"G must be square, got {G.shape}")
-    if target.shape[0] != n:
-        raise ValidationError(f"target length {target.shape[0]} != {n}")
-    if not lam > 0:
-        raise ValidationError(f"lambda must be > 0, got {lam}")
-    scale = max(np.max(np.abs(G)), 1.0)
-    if not np.allclose(G, G.T, atol=1e-10 * scale):
-        raise ValidationError("G must be symmetric")
-    system = G + (n * lam) * np.eye(n)
-    try:
-        factor = scipy.linalg.cho_factor(system, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalError(f"Gram matrix is not positive semi-definite: {exc}")
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"Gram matrix is not positive semi-definite: {exc}")
-    coeffs = scipy.linalg.cho_solve(factor, target)
-    # Small lambda on a rank-deficient Gram makes this system ill conditioned;
-    # fixed-precision iterative refinement restores an eps-level residual,
-    # which is what downstream inner products of the duals require.
-    for _ in range(3):
-        residual = target - system @ coeffs
-        if np.linalg.norm(residual) <= 10 * np.finfo(float).eps * np.linalg.norm(target):
-            break
-        coeffs = coeffs + scipy.linalg.cho_solve(factor, residual)
-    return coeffs
 
 
 def _stable_dual(G: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
@@ -269,17 +229,7 @@ def kernel_mint_test(
     perms = _random_permutations(rng, M, K)
     permuted = Gw[perms[:, :, None], perms[:, None, :]]
     null_samples = np.asarray(_statistic_from_grams(permuted, Gg_centered))
-    threshold = calibrate_threshold(null_samples, alpha)
-    warnings = (EXPERIMENTAL_WARNING,) + ((SMALL_K_WARNING,) if K == 2 else ())
-    return TestResult(
-        statistic=statistic,
-        threshold=threshold,
-        p_value=_mc_p_value(statistic, null_samples),
-        reject=statistic > threshold,
-        alpha=alpha,
-        resamples_M=M,
-        seed=seed,
-        method=METHOD_KERNEL_MINT,
-        null_samples=null_samples,
-        warnings=warnings,
+    return _calibrated_result(
+        statistic, null_samples, alpha, seed, METHOD_KERNEL_MINT, K,
+        warnings=(EXPERIMENTAL_WARNING,),
     )

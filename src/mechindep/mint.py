@@ -135,10 +135,36 @@ def calibrate_threshold(null_samples, alpha: float) -> float:
     return float(ordered[-1])
 
 
-def _mc_p_value(statistic: float, null_samples: np.ndarray) -> float:
+def _calibrated_result(
+    statistic: float,
+    null_samples: np.ndarray,
+    alpha: float,
+    seed: int,
+    method: str,
+    K: int,
+    warnings: tuple[str, ...] = (),
+) -> TestResult:
+    """Threshold, add-one p-value and rejection of a resampling test.
+
+    Shared by every test calibrated on resampled null statistics; the K=2
+    warning is appended to ``warnings``.
+    """
+    M = len(null_samples)
+    threshold = calibrate_threshold(null_samples, alpha)
     # Add-one Monte Carlo estimate; never exactly zero.
-    M = null_samples.shape[0]
-    return float((1 + np.count_nonzero(null_samples >= statistic)) / (M + 1))
+    exceed = np.count_nonzero(null_samples >= statistic)
+    return TestResult(
+        statistic=statistic,
+        threshold=threshold,
+        p_value=float((1 + exceed) / (M + 1)),
+        reject=statistic > threshold,
+        alpha=alpha,
+        resamples_M=M,
+        seed=seed,
+        method=method,
+        null_samples=null_samples,
+        warnings=warnings + ((SMALL_K_WARNING,) if K == 2 else ()),
+    )
 
 
 def _equilibrated_batch_solve(
@@ -303,7 +329,6 @@ def permutation_test(
     alpha: float = 0.05,
     M: int = 1000,
     seed: int = 0,
-    extra_warnings: tuple[str, ...] = (),
 ) -> TestResult:
     """Permutation independence test on already-estimated parameter matrices.
 
@@ -323,19 +348,8 @@ def permutation_test(
     null_samples = _batched_statistic(
         omegas[perms], np.broadcast_to(gammas, (M, *gammas.shape))
     )
-    threshold = calibrate_threshold(null_samples, alpha)
-    warnings = tuple(extra_warnings) + ((SMALL_K_WARNING,) if K == 2 else ())
-    return TestResult(
-        statistic=statistic,
-        threshold=threshold,
-        p_value=_mc_p_value(statistic, null_samples),
-        reject=statistic > threshold,
-        alpha=alpha,
-        resamples_M=M,
-        seed=seed,
-        method=METHOD_MINT_NO_BOOTSTRAP,
-        null_samples=null_samples,
-        warnings=warnings,
+    return _calibrated_result(
+        statistic, null_samples, alpha, seed, METHOD_MINT_NO_BOOTSTRAP, K
     )
 
 
@@ -367,7 +381,7 @@ def mint_test(
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     boot_ss, perm_ss = np.random.SeedSequence(seed).spawn(2)
-    fit = fit_mechanisms(dataset, psi_spec, phi_spec, ridge=0.0)
+    fit = fit_mechanisms(dataset, psi_spec, phi_spec)
     statistic = frobenius_statistic(fit.omegas, fit.gammas)
     K = dataset.n_envs
     if use_bootstrap:
@@ -380,16 +394,5 @@ def mint_test(
     perms = _random_permutations(np.random.default_rng(perm_ss), M, K)
     permuted = omegas_b[np.arange(M)[:, None], perms, :]
     null_samples = _batched_statistic(permuted, gammas_b)
-    threshold = calibrate_threshold(null_samples, alpha)
-    return TestResult(
-        statistic=statistic,
-        threshold=threshold,
-        p_value=_mc_p_value(statistic, null_samples),
-        reject=statistic > threshold,
-        alpha=alpha,
-        resamples_M=M,
-        seed=seed,
-        method=METHOD_MINT if use_bootstrap else METHOD_MINT_NO_BOOTSTRAP,
-        null_samples=null_samples,
-        warnings=(SMALL_K_WARNING,) if K == 2 else (),
-    )
+    method = METHOD_MINT if use_bootstrap else METHOD_MINT_NO_BOOTSTRAP
+    return _calibrated_result(statistic, null_samples, alpha, seed, method, K)

@@ -7,82 +7,9 @@ from mechindep import (
     RankDeficientError,
     ValidationError,
     outcome_spec,
-    partial_correlation,
     transportability_test,
 )
 from mechindep.baselines import FULL_INTERACTION, INTERCEPT_SHIFT
-
-
-class TestPartialCorrelation:
-    def test_identical_vectors(self):
-        out = partial_correlation([1, 2, 3, 4], [1, 2, 3, 4])
-        assert out.r == pytest.approx(1.0)
-        assert out.p_value == pytest.approx(0.0, abs=1e-12)
-
-    def test_reversed_vectors(self):
-        out = partial_correlation([1, 2, 3, 4], [4, 3, 2, 1])
-        assert out.r == pytest.approx(-1.0)
-
-    def test_residualization_removes_common_cause(self):
-        rng = np.random.default_rng(0)
-        n = 10_000
-        z = rng.normal(size=n)
-        x = z + rng.normal(size=n)
-        y = z + rng.normal(size=n)
-        out = partial_correlation(x, y, z)
-        assert abs(out.r) < 0.05
-        raw = partial_correlation(x, y)
-        assert raw.r > 0.3  # dependence exists before conditioning
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=200)
-        y = 0.4 * x + rng.normal(size=200)
-        Z = rng.normal(size=(200, 2))
-        base = partial_correlation(x, y, Z)
-        shifted = partial_correlation(3.0 * x - 7.0, -2.0 * y + 1.0, Z)
-        assert abs(shifted.r) == pytest.approx(abs(base.r), rel=1e-10)
-        assert shifted.p_value == pytest.approx(base.p_value, rel=1e-8)
-
-    def test_invariance_to_conditioning_basis_change(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=300)
-        y = rng.normal(size=300)
-        Z = rng.normal(size=(300, 3))
-        T = np.array([[2.0, 0.1, 0.0], [0.0, 1.0, -1.0], [0.5, 0.0, 1.0]])
-        base = partial_correlation(x, y, Z)
-        transformed = partial_correlation(x, y, Z @ T)
-        assert transformed.r == pytest.approx(base.r, abs=1e-10)
-
-    def test_p_value_matches_t_reference(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=40)
-        y = rng.normal(size=40)
-        Z = rng.normal(size=(40, 2))
-        out = partial_correlation(x, y, Z)
-        import scipy.special
-
-        df = 40 - 2 - 2
-        t = out.r * np.sqrt(df / (1 - out.r**2))
-        ref = 2.0 * float(scipy.special.stdtr(df, -abs(t)))
-        assert out.p_value == pytest.approx(ref, abs=1e-12)
-
-    def test_small_sample_rejected(self):
-        with pytest.raises(ValidationError):
-            partial_correlation([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], np.ones((3, 1)))
-
-    def test_rank_deficient_conditioning_rejected(self):
-        rng = np.random.default_rng(4)
-        z = rng.normal(size=30)
-        Z = np.column_stack([z, 2.0 * z])
-        with pytest.raises(ValidationError):
-            partial_correlation(rng.normal(size=30), rng.normal(size=30), Z)
-
-    def test_zero_variance_residuals_rejected(self):
-        z = np.linspace(0.0, 1.0, 30)
-        x = 2.0 * z + 1.0  # exactly explained by [1, z]
-        with pytest.raises(ValidationError):
-            partial_correlation(x, np.random.default_rng(5).normal(size=30), z)
 
 
 def linear_dataset(K, n, seed, beta_shift=None, mechanism="shared"):

@@ -1,0 +1,26 @@
+import mechindep
+
+DELETED_NAMES = {
+    "PartialCorrelation",
+    "partial_correlation",
+    "kernel_dual",
+    "standardize_covariates",
+    "save_test_result",
+    "regularized_incomplete_beta",
+    "regularized_upper_gamma",
+    "student_t_two_sided_pvalue",
+}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mechindep.__all__ if not hasattr(mechindep, name)]
+    assert missing == []
+
+
+def test_no_duplicate_exports():
+    assert len(mechindep.__all__) == len(set(mechindep.__all__))
+
+
+def test_deleted_names_stay_deleted():
+    assert DELETED_NAMES.isdisjoint(mechindep.__all__)
+    assert not any(hasattr(mechindep, name) for name in DELETED_NAMES)

@@ -7,67 +7,52 @@ import pytest
 from mechindep import (
     BenchmarkError,
     CovariatePanel,
-    EnvironmentBlock,
     LinearExampleConfig,
-    MultiEnvDataset,
     PolynomialConfig,
     ValidationError,
     benchmark_rows_to_csv,
     experiment_config_from_dict,
     run_benchmark,
     semi_synthetic_generate,
-    standardize_covariates,
 )
-from mechindep.harness import ExperimentConfig, repetition_seed_sequence
+from mechindep.harness import ExperimentConfig, _standardize_panel, repetition_seed_sequence
 
 
-def simple_dataset():
+def simple_panel():
     rng = np.random.default_rng(0)
-    blocks = []
-    for s in range(3):
-        X = rng.normal(loc=float(s), scale=2.0, size=(40, 2))
-        blocks.append(
-            EnvironmentBlock(f"e{s}", X, rng.normal(size=40), rng.normal(size=40))
+    return CovariatePanel(
+        tuple(
+            (f"e{s}", rng.normal(loc=float(s), scale=2.0, size=(40, 2)))
+            for s in range(3)
         )
-    return MultiEnvDataset(tuple(blocks))
+    )
 
 
 class TestStandardizeCovariates:
     def test_pooled_moments(self):
-        out = standardize_covariates(simple_dataset())
-        pooled = np.vstack([b.X for b in out.blocks])
+        out = _standardize_panel(simple_panel())
+        pooled = np.vstack([X for _, X in out.blocks])
         np.testing.assert_allclose(pooled.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(pooled.var(axis=0), 1.0, atol=1e-12)
 
-    def test_treatment_and_outcome_untouched(self):
-        ds = simple_dataset()
-        out = standardize_covariates(ds)
-        for a, b in zip(ds.blocks, out.blocks):
-            np.testing.assert_array_equal(a.A, b.A)
-            np.testing.assert_array_equal(a.Y, b.Y)
-
     def test_two_point_column(self):
-        blocks = (
-            EnvironmentBlock("a", [[0.0]], [0.0], [0.0]),
-            EnvironmentBlock("b", [[2.0]], [0.0], [0.0]),
-        )
-        out = standardize_covariates(MultiEnvDataset(blocks))
-        assert out.blocks[0].X[0, 0] == pytest.approx(-1.0)
-        assert out.blocks[1].X[0, 0] == pytest.approx(1.0)
+        panel = CovariatePanel((("a", np.array([[0.0]])), ("b", np.array([[2.0]]))))
+        out = _standardize_panel(panel)
+        assert out.blocks[0][1][0, 0] == pytest.approx(-1.0)
+        assert out.blocks[1][1][0, 0] == pytest.approx(1.0)
 
     def test_idempotent(self):
-        once = standardize_covariates(simple_dataset())
-        twice = standardize_covariates(once)
-        for a, b in zip(once.blocks, twice.blocks):
-            np.testing.assert_allclose(a.X, b.X, atol=1e-12)
+        once = _standardize_panel(simple_panel())
+        twice = _standardize_panel(once)
+        for (_, a), (_, b) in zip(once.blocks, twice.blocks):
+            np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_zero_variance_column_named(self):
-        blocks = (
-            EnvironmentBlock("a", [[1.0, 5.0]], [0.0], [0.0]),
-            EnvironmentBlock("b", [[1.0, 7.0]], [0.0], [0.0]),
+        panel = CovariatePanel(
+            (("a", np.array([[1.0, 5.0]])), ("b", np.array([[1.0, 7.0]])))
         )
         with pytest.raises(ValidationError, match="0"):
-            standardize_covariates(MultiEnvDataset(blocks))
+            _standardize_panel(panel)
 
 
 def covariate_panel(n_envs=3, n=50, d=8, seed=0):

@@ -248,3 +248,50 @@ class TestCli:
                                       "sweep": {"axis": "n_envs", "values": [3]},
                                       "repetitions": 1, "seed": 0, "wat": 1}))
         assert main(["benchmark", "--config", str(config), "--output", str(tmp_path / "o.csv")]) == 1
+
+
+class TestStrictCli:
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--method", "transportability", "--no-bootstrap"], "--no-bootstrap"),
+            (["--method", "kernel_mint", "--no-bootstrap"], "--no-bootstrap"),
+            (["--method", "kernel_mint", "--feature-degree", "1"], "--feature-degree"),
+            (["--method", "kernel_mint", "--interactions"], "--interactions"),
+            (["--method", "kernel_mint", "--square"], "--square"),
+        ],
+    )
+    def test_test_rejects_flags_its_method_ignores(self, tmp_path, capsys, extra, flag):
+        gen = write_generator_config(tmp_path)
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gen), "--output", str(data)])
+        capsys.readouterr()
+        assert main(["test", "--input", str(data), "--resamples", "20"] + extra) == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "g.json", "--method", "kernel_mint"],
+            ["simulate", "--config", "g.json", "--threads", "9"],
+            ["benchmark", "--config", "e.json", "--seed", "1"],
+            ["benchmark", "--config", "e.json", "--alpha", "0.1"],
+            ["benchmark", "--config", "e.json", "--no-bootstrap"],
+            ["semisynth", "--covariates", "c.csv", "--resamples", "5"],
+            ["test", "--input", "d.csv", "--threads", "2"],
+        ],
+    )
+    def test_subcommands_reject_flags_they_ignore(self, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_usage_errors_exit_one(self, capsys):
+        assert main([]) == 1
+        assert main(["simulate"]) == 1
+        assert main(["test", "--input", "d.csv", "--method", "nope"]) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--help"])
+        assert exc.value.code == 0
+        assert "--feature-degree" in capsys.readouterr().out
