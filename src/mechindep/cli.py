@@ -39,7 +39,7 @@ from .io import (
     save_csv_dataset,
     test_result_to_dict,
 )
-from .kernel import KernelSpec, kernel_mint_test
+from .kernel import MEDIAN_HEURISTIC, KernelSpec, kernel_mint_test
 from .mint import METHOD_KERNEL_MINT, METHOD_MINT, METHOD_TRANSPORTABILITY, mint_test
 
 
@@ -51,12 +51,38 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _seed_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="root random seed")
+def _seed_flag(parser: argparse.ArgumentParser, default=0) -> None:
+    parser.add_argument("--seed", type=int, default=default, help="root random seed")
 
 
 def _output_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", type=Path, default=None, help="output file path")
+
+
+def _bandwidth(text: str) -> float | str:
+    if text == MEDIAN_HEURISTIC:
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or {MEDIAN_HEURISTIC!r}, got {text!r}"
+        ) from None
+
+
+# The `test` flags that only some methods read, with the value each takes
+# when not given. Their parser default is None, so a given flag is told
+# apart from an absent one; a given flag its method does not read is an error.
+_TEST_FLAG_DEFAULTS = dict(
+    feature_degree=1, interactions=False, square=False, variant=FULL_INTERACTION,
+    kernel_kind="rbf", kernel_bandwidth=MEDIAN_HEURISTIC, kernel_lambda=1e-3,
+    seed=0, resamples=1000, no_bootstrap=False,
+)
+_METHOD_FLAGS = {
+    METHOD_MINT: {"feature_degree", "interactions", "square", "seed", "resamples", "no_bootstrap"},
+    METHOD_TRANSPORTABILITY: {"feature_degree", "interactions", "square", "variant"},
+    METHOD_KERNEL_MINT: {"kernel_kind", "kernel_bandwidth", "kernel_lambda", "seed", "resamples"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,41 +105,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--feature-degree",
         type=int,
-        default=None,
         help="polynomial degree of both models (default 1)",
     )
     p_test.add_argument(
         "--interactions",
         action="store_true",
+        default=None,
         help="add treatment-covariate interaction columns to the outcome model",
     )
     p_test.add_argument(
         "--square",
         action="store_true",
+        default=None,
         help="add a squared-treatment column to the outcome model",
     )
     p_test.add_argument(
         "--variant",
         choices=[FULL_INTERACTION, INTERCEPT_SHIFT],
-        default=FULL_INTERACTION,
         help="transportability test variant",
     )
-    p_test.add_argument(
-        "--kernel-kind", choices=["linear", "rbf"], default="rbf", help="kernel family"
-    )
+    p_test.add_argument("--kernel-kind", choices=["linear", "rbf"], help="kernel family")
     p_test.add_argument(
         "--kernel-bandwidth",
-        default="median_heuristic",
+        type=_bandwidth,
         help="rbf bandwidth (number or 'median_heuristic')",
     )
-    p_test.add_argument(
-        "--kernel-lambda", type=float, default=1e-3, help="kernel ridge strength"
-    )
-    _seed_flag(p_test)
+    p_test.add_argument("--kernel-lambda", type=float, help="kernel ridge strength")
+    _seed_flag(p_test, default=None)
     p_test.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p_test.add_argument(
-        "--resamples", type=int, default=1000, help="Monte Carlo resamples M"
-    )
+    p_test.add_argument("--resamples", type=int, help="Monte Carlo resamples M")
     p_test.add_argument(
         "--method",
         choices=[METHOD_MINT, METHOD_TRANSPORTABILITY, METHOD_KERNEL_MINT],
@@ -123,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--no-bootstrap",
         action="store_true",
+        default=None,
         help="calibrate by permutation only (skip bootstrap refits; mint only)",
     )
     _output_flag(p_test)
@@ -196,17 +217,18 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_test(args) -> None:
     method = args.method
-    if args.no_bootstrap and method != METHOD_MINT:
-        raise ValidationError(f"--no-bootstrap applies only to --method {METHOD_MINT}")
-    if method == METHOD_KERNEL_MINT and (
-        args.feature_degree is not None or args.interactions or args.square
-    ):
-        raise ValidationError(
-            "--feature-degree, --interactions and --square do not apply to "
-            f"--method {METHOD_KERNEL_MINT}"
-        )
+    ignored = [
+        "--" + flag.replace("_", "-")
+        for flag in _TEST_FLAG_DEFAULTS
+        if getattr(args, flag) is not None and flag not in _METHOD_FLAGS[method]
+    ]
+    if ignored:
+        raise ValidationError(f"--method {method} does not read {', '.join(ignored)}")
+    for flag, default in _TEST_FLAG_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     dataset = load_csv_dataset(args.input)
-    degree = 1 if args.feature_degree is None else args.feature_degree
+    degree = args.feature_degree
     phi = outcome_spec(degree=degree, interactions=args.interactions, square=args.square)
     if method == METHOD_MINT:
         result = mint_test(
@@ -223,12 +245,9 @@ def _cmd_test(args) -> None:
             dataset, phi, variant=args.variant, alpha=args.alpha
         )
     elif method == METHOD_KERNEL_MINT:
-        bandwidth = args.kernel_bandwidth
-        if bandwidth != "median_heuristic":
-            bandwidth = float(bandwidth)
         spec = KernelSpec(
             kind=args.kernel_kind,
-            bandwidth=bandwidth,
+            bandwidth=args.kernel_bandwidth,
             ridge_lambda=args.kernel_lambda,
         )
         result = kernel_mint_test(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,6 +91,41 @@ def _column_indices(header, names, path):
     return indices
 
 
+def _read_env_table(path, env_column, named, covariate_columns):
+    """Rows of an environment-grouped CSV as ``(env, float matrix)`` pairs.
+
+    Each matrix holds the ``named`` columns, then the covariates
+    (``covariate_columns``, or by default every other header column in file
+    order).
+    """
+    header, rows = _read_rows(path)
+    fixed = [env_column, *named]
+    _column_indices(header, fixed, path)
+    if covariate_columns is None:
+        covariates = [h for h in header if h not in fixed]
+    else:
+        covariates = list(covariate_columns)
+        _column_indices(header, covariates, path)
+    if not covariates:
+        raise ValidationError(f"{path}: no covariate columns")
+    env_idx = header.index(env_column)
+    columns = [(header.index(c), c) for c in [*named, *covariates]]
+    # Packed doubles, so no parsed float or row list outlives its row.
+    groups: dict[str, array] = {}
+    for i, row in enumerate(rows, start=1):
+        env = row[env_idx].strip()
+        if not env:
+            raise ValidationError(f"row {i}: missing environment label")
+        if env not in groups:
+            groups[env] = array("d")
+        groups[env].extend([_parse_cell(row[j], i, c) for j, c in columns])
+    if len(groups) < 2:
+        raise ValidationError(
+            f"{path}: found {len(groups)} environment(s), need at least 2"
+        )
+    return [(env, np.frombuffer(t).reshape(-1, len(columns))) for env, t in groups.items()]
+
+
 def load_csv_dataset(path, schema: CsvSchema = CsvSchema()) -> MultiEnvDataset:
     """Read a dataset CSV, grouping rows by the environment column.
 
@@ -97,45 +133,15 @@ def load_csv_dataset(path, schema: CsvSchema = CsvSchema()) -> MultiEnvDataset:
     follows first appearance. Any missing or non-numeric cell aborts with a
     row/column location.
     """
-    header, rows = _read_rows(path)
-    fixed = [schema.env_column, schema.treatment_column, schema.outcome_column]
-    idx = _column_indices(header, fixed, path)
-    if schema.covariate_columns is None:
-        covariates = [h for h in header if h not in fixed]
-    else:
-        covariates = list(schema.covariate_columns)
-        _column_indices(header, covariates, path)
-    if not covariates:
-        raise ValidationError(f"{path}: no covariate columns")
-    cov_idx = [header.index(c) for c in covariates]
-    groups: dict[str, dict[str, list]] = {}
-    order: list[str] = []
-    for i, row in enumerate(rows, start=1):
-        env = row[idx[schema.env_column]].strip()
-        if not env:
-            raise ValidationError(f"row {i}: missing environment label")
-        if env not in groups:
-            groups[env] = {"a": [], "y": [], "x": []}
-            order.append(env)
-        groups[env]["a"].append(_parse_cell(row[idx[schema.treatment_column]], i, schema.treatment_column))
-        groups[env]["y"].append(_parse_cell(row[idx[schema.outcome_column]], i, schema.outcome_column))
-        groups[env]["x"].append(
-            [_parse_cell(row[j], i, header[j]) for j in cov_idx]
-        )
-    if len(order) < 2:
-        raise ValidationError(
-            f"{path}: found {len(order)} environment(s), need at least 2"
-        )
-    blocks = tuple(
-        EnvironmentBlock(
-            env,
-            np.asarray(groups[env]["x"], dtype=float),
-            np.asarray(groups[env]["a"], dtype=float),
-            np.asarray(groups[env]["y"], dtype=float),
-        )
-        for env in order
+    tables = _read_env_table(
+        path,
+        schema.env_column,
+        [schema.treatment_column, schema.outcome_column],
+        schema.covariate_columns,
     )
-    return MultiEnvDataset(blocks)
+    return MultiEnvDataset(
+        tuple(EnvironmentBlock(env, t[:, 2:], t[:, 0], t[:, 1]) for env, t in tables)
+    )
 
 
 def save_csv_dataset(dataset: MultiEnvDataset, path) -> None:
@@ -156,34 +162,7 @@ def load_covariate_panel(
     path, env_column: str = "env", covariate_columns: tuple[str, ...] | None = None
 ) -> CovariatePanel:
     """Read a covariate-only CSV (environment column plus numeric columns)."""
-    header, rows = _read_rows(path)
-    _column_indices(header, [env_column], path)
-    if covariate_columns is None:
-        covariates = [h for h in header if h != env_column]
-    else:
-        covariates = list(covariate_columns)
-        _column_indices(header, covariates, path)
-    if not covariates:
-        raise ValidationError(f"{path}: no covariate columns")
-    env_idx = header.index(env_column)
-    cov_idx = [header.index(c) for c in covariates]
-    groups: dict[str, list] = {}
-    order: list[str] = []
-    for i, row in enumerate(rows, start=1):
-        env = row[env_idx].strip()
-        if not env:
-            raise ValidationError(f"row {i}: missing environment label")
-        if env not in groups:
-            groups[env] = []
-            order.append(env)
-        groups[env].append([_parse_cell(row[j], i, header[j]) for j in cov_idx])
-    if len(order) < 2:
-        raise ValidationError(
-            f"{path}: found {len(order)} environment(s), need at least 2"
-        )
-    return CovariatePanel(
-        tuple((env, np.asarray(groups[env], dtype=float)) for env in order)
-    )
+    return CovariatePanel(tuple(_read_env_table(path, env_column, [], covariate_columns)))
 
 
 def dumps_json(obj) -> str:

@@ -30,6 +30,8 @@ from .mint import (
 )
 
 MEDIAN_HEURISTIC = "median_heuristic"
+_BANDWIDTH_MAX_ROWS = 1000
+_BANDWIDTH_SEED = 0
 
 EXPERIMENTAL_WARNING = (
     "kernel test calibration is permutation-only (no bootstrap refits) "
@@ -64,21 +66,20 @@ class KernelSpec:
             raise ValidationError(f"ridge_lambda must be > 0, got {self.ridge_lambda}")
 
 
-def resolve_bandwidth(
-    spec: KernelSpec, rows: np.ndarray, seed: int = 0, max_rows: int = 1000
-) -> KernelSpec:
+def resolve_bandwidth(spec: KernelSpec, rows: np.ndarray) -> KernelSpec:
     """Replace a median-heuristic bandwidth with the median pairwise distance.
 
-    At most ``max_rows`` rows enter the pairwise computation; a larger input
-    is subsampled without replacement from a stream seeded with ``seed``, so
-    the resolution is deterministic.
+    At most ``_BANDWIDTH_MAX_ROWS`` rows enter the pairwise computation; a
+    larger input is subsampled without replacement from a stream seeded with
+    ``_BANDWIDTH_SEED``, so the resolution is deterministic.
     """
     if spec.kind == "linear" or not isinstance(spec.bandwidth, str):
         return spec
     rows = as_float_matrix(rows, "rows")
     n = rows.shape[0]
-    if n > max_rows:
-        keep = np.random.default_rng(seed).choice(n, size=max_rows, replace=False)
+    if n > _BANDWIDTH_MAX_ROWS:
+        rng = np.random.default_rng(_BANDWIDTH_SEED)
+        keep = rng.choice(n, size=_BANDWIDTH_MAX_ROWS, replace=False)
         rows = rows[np.sort(keep)]
     sq = _squared_distances(rows, rows)
     dists = np.sqrt(np.clip(sq[np.triu_indices(rows.shape[0], k=1)], 0.0, None))
@@ -148,12 +149,10 @@ def _double_center(G: np.ndarray) -> np.ndarray:
 def _parameter_grams(
     dataset: MultiEnvDataset, k_spec: KernelSpec, h_spec: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """K x K inner-product matrices of the implicit model parameters."""
-    sizes = set(dataset.sizes)
-    if len(sizes) > 1:
-        raise ValidationError(
-            f"kernel statistic requires equal environment sizes, got {dataset.sizes}"
-        )
+    """K x K inner-product matrices of the implicit model parameters.
+
+    Environments may differ in size: each cross-Gram is n_s x n_t.
+    """
     pooled_X = np.vstack([b.X for b in dataset.blocks])
     pooled_XA = np.column_stack(
         [pooled_X, np.concatenate([b.A for b in dataset.blocks])]

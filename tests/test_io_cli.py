@@ -91,6 +91,95 @@ class TestDatasetCsv:
         assert panel.n_envs == 2 and panel.d == 2
 
 
+LOADERS = {
+    "dataset": lambda path, **kw: load_csv_dataset(path, CsvSchema(**kw)),
+    "panel": lambda path, **kw: load_covariate_panel(path, **kw),
+}
+
+# (file text, loader keyword arguments, expected message); "{path}" stands
+# for the file's path. The panel loader reads `a` and `y` as covariates, so
+# both loaders locate a bad cell at the same row and column.
+MALFORMED = {
+    "missing_cell": (
+        "env,a,y,x1\na,1,2,3\na,,3,4\nb,0,1,2\n", {},
+        "row 2, column 'a': missing value",
+    ),
+    "non_numeric_cell": (
+        "env,a,y,x1\na,1,2,3\nb,0,oops,2\n", {},
+        "row 2, column 'y': not a number: 'oops'",
+    ),
+    "inf_cell": (
+        "env,a,y,x1\na,1,2,3\nb,0,1,inf\n", {},
+        "row 2, column 'x1': non-finite value 'inf'",
+    ),
+    "missing_env_label": (
+        "env,a,y,x1\na,1,2,3\n ,0,1,2\n", {},
+        "row 2: missing environment label",
+    ),
+    "one_environment": (
+        "env,a,y,x1\na,1,2,3\na,2,3,4\n", {},
+        "{path}: found 1 environment(s), need at least 2",
+    ),
+    "unknown_env_column": (
+        "env,a,y,x1\na,1,2,3\nb,0,1,2\n", {"env_column": "site"},
+        "{path}: column 'site' not found in header",
+    ),
+    "unknown_covariate_column": (
+        "env,a,y,x1\na,1,2,3\nb,0,1,2\n", {"covariate_columns": ("x1", "x9")},
+        "{path}: column 'x9' not found in header",
+    ),
+    "no_covariate_columns": (
+        "env,a,y,x1\na,1,2,3\nb,0,1,2\n", {"covariate_columns": ()},
+        "{path}: no covariate columns",
+    ),
+    "short_row": (
+        "env,a,y,x1\na,1,2,3\nb,0,1\n", {},
+        "row 2: expected 4 cells, got 3",
+    ),
+    # Row lengths are checked before any cell is parsed.
+    "short_row_beats_bad_cell": (
+        "env,a,y,x1\na,,2,3\nb,0,1\n", {},
+        "row 2: expected 4 cells, got 3",
+    ),
+    "empty_file": (
+        "", {},
+        "{path}: empty file, expected a header row",
+    ),
+}
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_full_message(self, tmp_path, loader, case):
+        text, kwargs, expected = MALFORMED[case]
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            LOADERS[loader](path, **kwargs)
+        assert str(exc.value) == expected.format(path=path)
+
+    def test_default_covariates_exhausted(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("env,a,y\na,1,2\nb,3,4\n")
+        panel = tmp_path / "panel.csv"
+        panel.write_text("env\na\nb\n")
+        for load, path in ((load_csv_dataset, data), (load_covariate_panel, panel)):
+            with pytest.raises(ValidationError) as exc:
+                load(path)
+            assert str(exc.value) == f"{path}: no covariate columns"
+
+    def test_panel_groups_by_first_appearance(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        path.write_text("c1,env,c2\n1,b,2\n3,a,4\n5,b,6\n")
+        panel = load_covariate_panel(path)
+        assert [env for env, _ in panel.blocks] == ["b", "a"]
+        np.testing.assert_array_equal(panel.blocks[0][1], [[1.0, 2.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(panel.blocks[1][1], [[3.0, 4.0]])
+        picked = load_covariate_panel(path, covariate_columns=("c2",))
+        np.testing.assert_array_equal(picked.blocks[0][1], [[2.0], [6.0]])
+
+
 class TestJsonRendering:
     def test_seventeen_digit_floats_round_trip(self):
         values = [np.pi, 1.0 / 3.0, 1e-300, 123456.789e10]
@@ -183,6 +272,20 @@ class TestCli:
             out = tmp_path / "r.json"
             assert main(["test", "--input", str(data), "--output", str(out)] + extra) == 0
 
+    def test_kernel_mint_on_unequal_environment_sizes(self, tmp_path):
+        rng = np.random.default_rng(2)
+        rows = ["env,a,y,x1"]
+        for env, n in (("a", 30), ("b", 20), ("c", 30)):
+            for x, a, y in rng.normal(size=(n, 3)):
+                rows.append(f"{env},{a:.6f},{y:.6f},{x:.6f}")
+        data = tmp_path / "unequal.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert load_csv_dataset(data).sizes == (30, 20, 30)
+        out = tmp_path / "r.json"
+        argv = ["test", "--input", str(data), "--method", "kernel_mint", "--resamples", "50"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert json.loads(out.read_text())["method"] == "kernel_mint"
+
     def test_benchmark_byte_identical_under_threads(self, tmp_path):
         config = write_experiment_config(tmp_path)
         outs = []
@@ -268,6 +371,55 @@ class TestStrictCli:
         capsys.readouterr()
         assert main(["test", "--input", str(data), "--resamples", "20"] + extra) == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, extra",
+        [
+            ("mint", ["--variant", "intercept_shift", "--kernel-kind", "linear",
+                      "--kernel-bandwidth", "2", "--kernel-lambda", "5"]),
+            ("transportability", ["--resamples", "7", "--seed", "0", "--kernel-kind", "rbf",
+                                  "--kernel-bandwidth", "median_heuristic",
+                                  "--kernel-lambda", "1"]),
+            ("kernel_mint", ["--variant", "full_interaction"]),
+        ],
+    )
+    def test_error_names_every_ignored_flag(self, tmp_path, capsys, method, extra):
+        # Rejected before the CSV is read, even at a flag's default value.
+        code = main(["test", "--input", str(tmp_path / "absent.csv"), "--method", method] + extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --method {method} does not read --")
+        named = set(err.split("does not read ")[1].strip().split(", "))
+        assert named == {arg for arg in extra if arg.startswith("--")}
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--method", "mint", "--feature-degree", "1", "--interactions", "--square",
+             "--seed", "2", "--resamples", "20", "--no-bootstrap"],
+            ["--method", "transportability", "--feature-degree", "1", "--interactions",
+             "--square", "--variant", "intercept_shift"],
+            ["--method", "kernel_mint", "--kernel-kind", "rbf", "--kernel-bandwidth", "1.5",
+             "--kernel-lambda", "0.01", "--seed", "2", "--resamples", "20"],
+        ],
+    )
+    def test_test_accepts_every_flag_its_method_reads(self, tmp_path, extra):
+        gen = write_generator_config(tmp_path)
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gen), "--output", str(data)])
+        out = tmp_path / "r.json"
+        assert main(["test", "--input", str(data), "--output", str(out)] + extra) == 0
+        assert json.loads(out.read_text())["method"].startswith(extra[1])
+
+    def test_bad_kernel_bandwidth_is_a_usage_error(self, capsys):
+        argv = ["test", "--input", "d.csv", "--method", "kernel_mint", "--kernel-bandwidth", "wide"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mechindep test ")
+        assert err.endswith(
+            "error: argument --kernel-bandwidth: expected a number or "
+            "'median_heuristic', got 'wide'\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -20,12 +20,12 @@ LINEAR = KernelSpec(kind="linear", ridge_lambda=1e-8)
 
 
 def random_dataset(rng, K=4, n=40, d=2):
-    """Full-rank dataset with equal environment sizes."""
+    """Full-rank dataset; ``n`` is one size for all environments or one each."""
     blocks = []
-    for s in range(K):
-        X = rng.normal(size=(n, d))
-        A = X @ rng.normal(size=d) + rng.normal(size=n)
-        Y = X @ rng.normal(size=d) + 0.5 * A + rng.normal(size=n)
+    for s, n_s in enumerate(np.broadcast_to(n, K)):
+        X = rng.normal(size=(n_s, d))
+        A = X @ rng.normal(size=d) + rng.normal(size=n_s)
+        Y = X @ rng.normal(size=d) + 0.5 * A + rng.normal(size=n_s)
         blocks.append(EnvironmentBlock(f"e{s}", X, A, Y))
     return MultiEnvDataset(tuple(blocks))
 
@@ -158,14 +158,13 @@ class TestKernelStatistic:
             kernel_statistic(ds, LINEAR, LINEAR), rel=1e-9
         )
 
-    def test_unequal_sizes_rejected(self):
+    def test_unequal_sizes_match_explicit_features(self):
         rng = np.random.default_rng(9)
-        blocks = (
-            EnvironmentBlock("a", rng.normal(size=(10, 1)), rng.normal(size=10), rng.normal(size=10)),
-            EnvironmentBlock("b", rng.normal(size=(12, 1)), rng.normal(size=12), rng.normal(size=12)),
-        )
-        with pytest.raises(ValidationError):
-            kernel_statistic(MultiEnvDataset(blocks), LINEAR, LINEAR)
+        for _ in range(30):
+            ds = random_dataset(rng, n=rng.integers(30, 61, size=4))
+            assert len(set(ds.sizes)) > 1
+            got = kernel_statistic(ds, LINEAR, LINEAR)
+            assert got == pytest.approx(explicit_statistic(ds), rel=1e-6)
 
     def test_rbf_runs_with_median_heuristic(self):
         rng = np.random.default_rng(10)
