@@ -57,6 +57,7 @@ from .harness import (
     SemiSyntheticTruth,
     benchmark_rows_to_csv,
     experiment_config_from_dict,
+    generate_dataset,
     run_benchmark,
     run_method,
     semi_synthetic_generate,
@@ -131,6 +132,7 @@ __all__ = [
     "f_survival",
     "fit_mechanisms",
     "frobenius_statistic",
+    "generate_dataset",
     "generate_linear_example",
     "generate_polynomial",
     "gram",

@@ -19,19 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import FULL_INTERACTION, INTERCEPT_SHIFT, transportability_test
+from .baselines import FULL_INTERACTION, INTERCEPT_SHIFT
 from .errors import BenchmarkError, NumericalError, ValidationError
-from .features import outcome_spec, treatment_spec
 from .harness import (
     benchmark_rows_to_csv,
     experiment_config_from_dict,
+    generate_dataset,
+    generator_config_from_dict,
     run_benchmark,
+    run_method,
     semi_synthetic_generate,
 )
 from .io import (
     SCHEMA_VERSION,
     dumps_json,
-    generator_config_from_dict,
     load_covariate_panel,
     load_csv_dataset,
     load_json_config,
@@ -39,8 +40,13 @@ from .io import (
     save_csv_dataset,
     test_result_to_dict,
 )
-from .kernel import MEDIAN_HEURISTIC, KernelSpec, kernel_mint_test
-from .mint import METHOD_KERNEL_MINT, METHOD_MINT, METHOD_TRANSPORTABILITY, mint_test
+from .kernel import MEDIAN_HEURISTIC
+from .mint import (
+    METHOD_KERNEL_MINT,
+    METHOD_MINT,
+    METHOD_MINT_NO_BOOTSTRAP,
+    METHOD_TRANSPORTABILITY,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,13 +76,16 @@ def _bandwidth(text: str) -> float | str:
         ) from None
 
 
-# The `test` flags that only some methods read, with the value each takes
-# when not given. Their parser default is None, so a given flag is told
-# apart from an absent one; a given flag its method does not read is an error.
-_TEST_FLAG_DEFAULTS = dict(
-    feature_degree=1, interactions=False, square=False, variant=FULL_INTERACTION,
-    kernel_kind="rbf", kernel_bandwidth=MEDIAN_HEURISTIC, kernel_lambda=1e-3,
-    seed=0, resamples=1000, no_bootstrap=False,
+# The `test` flags that only some methods read, with the method_params key
+# each fills (kernel_* flags fill one kernel, used for both models). Their
+# parser default is None, so a given flag is told apart from an absent one,
+# whose default run_method applies; a given flag its method does not read is
+# an error.
+_TEST_FLAGS = dict(
+    feature_degree="feature_degree", interactions="include_interactions",
+    square="include_square", variant="variant", kernel_kind="kind",
+    kernel_bandwidth="bandwidth", kernel_lambda="ridge_lambda",
+    seed=None, resamples="resamples", no_bootstrap=None,
 )
 _METHOD_FLAGS = {
     METHOD_MINT: {"feature_degree", "interactions", "square", "seed", "resamples", "no_bootstrap"},
@@ -202,14 +211,7 @@ def _cmd_simulate(args) -> None:
         raise ValidationError("use the semisynth subcommand for semi-synthetic data")
     config = generator_config_from_dict(kind, obj.get("generator_params", {}))
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    if kind == "linear_example":
-        from .dgp import generate_linear_example
-
-        dataset, _ = generate_linear_example(config, rng)
-    else:
-        from .dgp import generate_polynomial
-
-        dataset, _ = generate_polynomial(config, rng)
+    dataset, _ = generate_dataset(kind, config, rng)
     if args.output is None:
         raise ValidationError("simulate requires --output for the dataset CSV")
     save_csv_dataset(dataset, args.output)
@@ -217,44 +219,24 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_test(args) -> None:
     method = args.method
-    ignored = [
-        "--" + flag.replace("_", "-")
-        for flag in _TEST_FLAG_DEFAULTS
-        if getattr(args, flag) is not None and flag not in _METHOD_FLAGS[method]
-    ]
+    given = {f: getattr(args, f) for f in _TEST_FLAGS if getattr(args, f) is not None}
+    ignored = ["--" + f.replace("_", "-") for f in given if f not in _METHOD_FLAGS[method]]
     if ignored:
         raise ValidationError(f"--method {method} does not read {', '.join(ignored)}")
-    for flag, default in _TEST_FLAG_DEFAULTS.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
     dataset = load_csv_dataset(args.input)
-    degree = args.feature_degree
-    phi = outcome_spec(degree=degree, interactions=args.interactions, square=args.square)
-    if method == METHOD_MINT:
-        result = mint_test(
-            dataset,
-            treatment_spec(degree=degree),
-            phi,
-            alpha=args.alpha,
-            M=args.resamples,
-            seed=args.seed,
-            use_bootstrap=not args.no_bootstrap,
-        )
-    elif method == METHOD_TRANSPORTABILITY:
-        result = transportability_test(
-            dataset, phi, variant=args.variant, alpha=args.alpha
-        )
-    elif method == METHOD_KERNEL_MINT:
-        spec = KernelSpec(
-            kind=args.kernel_kind,
-            bandwidth=args.kernel_bandwidth,
-            ridge_lambda=args.kernel_lambda,
-        )
-        result = kernel_mint_test(
-            dataset, spec, spec, alpha=args.alpha, M=args.resamples, seed=args.seed
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown method {method!r}")
+    params = {"alpha": args.alpha}
+    kernel = {}
+    for flag, value in given.items():
+        if flag.startswith("kernel_"):
+            kernel[_TEST_FLAGS[flag]] = value
+        elif _TEST_FLAGS[flag] is not None:
+            params[_TEST_FLAGS[flag]] = value
+    if kernel:
+        params["treatment_kernel"] = params["outcome_kernel"] = kernel
+    if args.no_bootstrap:
+        method = METHOD_MINT_NO_BOOTSTRAP
+    seed = 0 if args.seed is None else args.seed
+    result = run_method(method, params, dataset, seed)
     _write_or_print(dumps_json(test_result_to_dict(result)), args.output)
 
 

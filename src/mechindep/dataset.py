@@ -20,6 +20,11 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def is_real(value) -> bool:
+    """True for an int or float scalar (Python or NumPy) that is not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def as_float_matrix(x, name: str) -> np.ndarray:
     """Coerce to a finite 2-d float array, raising ValidationError otherwise."""
     arr = np.asarray(x, dtype=float)

@@ -1,4 +1,4 @@
-"""Experiment harness: falsification-rate sweeps and the semi-synthetic pipeline.
+"""Experiment harness: method and generator dispatch, sweeps, semi-synthetic data.
 
 A benchmark is a deterministic grid: one sweep axis, a fixed number of
 repetitions per axis value, and a root seed. Repetition ``r`` on axis index
@@ -17,18 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import FULL_INTERACTION, transportability_test
-from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset
+from .baselines import FULL_INTERACTION, INTERCEPT_SHIFT, transportability_test
+from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset, is_real
 from .dgp import (
     VARYING_PARAMETER_NAMES,
+    LinearExampleConfig,
+    PolynomialConfig,
     generate_linear_example,
     generate_polynomial,
 )
 from .errors import BenchmarkError, ValidationError
 from .features import FeatureSpec, build_treatment_features, outcome_spec, treatment_spec
-from .io import dataclass_from_dict, format_float, require_schema_version
+from .io import dataclass_from_dict, format_float, load_covariate_panel, require_schema_version
 from .kernel import KernelSpec, kernel_mint_test
 from .mint import (
+    DEFAULT_RIDGE_JITTER,
     METHOD_KERNEL_MINT,
     METHOD_MINT,
     METHOD_MINT_NO_BOOTSTRAP,
@@ -36,16 +39,6 @@ from .mint import (
     TestResult,
     mint_test,
 )
-
-METHODS = (
-    METHOD_MINT,
-    METHOD_MINT_NO_BOOTSTRAP,
-    METHOD_TRANSPORTABILITY,
-    METHOD_KERNEL_MINT,
-)
-
-GENERATORS = ("linear_example", "polynomial", "semi_synthetic")
-
 
 # ---------------------------------------------------------------------------
 # Covariate standardization and the semi-synthetic pipeline
@@ -154,25 +147,75 @@ class SemiSyntheticSpec:
     resample_beta_intercept: bool = True
     noise_std: float = 0.5
 
+    def __post_init__(self):
+        if self.covariate_columns is not None:
+            object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
+
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-_SWEEP_AXES = {
-    "linear_example": ("n_envs", "n_per_env", "varying_parameter"),
-    "polynomial": ("n_envs", "n_per_env", "n_covariates", "degree"),
-    "semi_synthetic": ("observed_subset_size", "degree", "n_confounders"),
+# Each generator's config class and the axes a sweep may vary.
+_GENERATORS = {
+    "linear_example": (LinearExampleConfig, ("n_envs", "n_per_env", "varying_parameter")),
+    "polynomial": (PolynomialConfig, ("n_envs", "n_per_env", "n_covariates", "degree")),
+    "semi_synthetic": (SemiSyntheticSpec, ("observed_subset_size", "degree", "n_confounders")),
 }
 
-_COMMON_METHOD_KEYS = frozenset({"alpha", "resamples"})
-_FEATURE_KEYS = frozenset({"feature_degree", "include_interactions", "include_square"})
-_METHOD_KEYS = {
-    METHOD_MINT: _COMMON_METHOD_KEYS | _FEATURE_KEYS | {"ridge_jitter"},
-    METHOD_MINT_NO_BOOTSTRAP: _COMMON_METHOD_KEYS | _FEATURE_KEYS | {"ridge_jitter"},
-    METHOD_TRANSPORTABILITY: frozenset({"alpha", "variant"}) | _FEATURE_KEYS,
-    METHOD_KERNEL_MINT: _COMMON_METHOD_KEYS | {"treatment_kernel", "outcome_kernel"},
+
+# The methods, each with the method_params keys it reads and the kind of
+# value each takes: a type, or a tuple of the allowed values.
+_FEATURE_PARAMS = {"feature_degree": int, "include_interactions": bool, "include_square": bool}
+_MINT_PARAMS = {"alpha": float, "resamples": int, "ridge_jitter": float, **_FEATURE_PARAMS}
+_METHOD_PARAMS = {
+    METHOD_MINT: _MINT_PARAMS,
+    METHOD_MINT_NO_BOOTSTRAP: _MINT_PARAMS,
+    METHOD_TRANSPORTABILITY: {
+        "alpha": float, "variant": (FULL_INTERACTION, INTERCEPT_SHIFT), **_FEATURE_PARAMS,
+    },
+    METHOD_KERNEL_MINT: {
+        "alpha": float, "resamples": int,
+        "treatment_kernel": KernelSpec, "outcome_kernel": KernelSpec,
+    },
 }
+
+
+def _checked_param(key: str, kind, value):
+    """A method_params value checked against its kind; a kernel object is built."""
+    if kind is KernelSpec:
+        if value is None:  # JSON null is the default kernel
+            return KernelSpec()
+        if isinstance(value, KernelSpec):
+            return value
+        return dataclass_from_dict(KernelSpec, value, f"method_params[{key!r}]")
+    if kind is bool:
+        ok, expected = isinstance(value, bool), "true or false"
+    elif kind is int:
+        ok, expected = is_real(value) and isinstance(value, (int, np.integer)), "an integer"
+    elif kind is float:
+        ok, expected = is_real(value), "a number"
+    else:
+        ok, expected = value in kind, f"one of {list(kind)}"
+    if not ok:
+        raise ValidationError(f"method_params[{key!r}]: expected {expected}, got {value!r}")
+    return value
+
+
+def _checked_method_params(method: str, params: dict) -> dict:
+    """``params`` checked against the method's keys and kinds, kernels built."""
+    if method not in _METHOD_PARAMS:
+        raise ValidationError(f"unknown method {method!r}")
+    if not isinstance(params, dict):
+        raise ValidationError(f"method_params: expected an object, got {type(params).__name__}")
+    kinds = _METHOD_PARAMS[method]
+    unknown = set(params) - set(kinds)
+    if unknown:
+        raise ValidationError(
+            f"method_params: unknown keys {sorted(unknown)} for {method}; "
+            f"allowed: {sorted(kinds)}"
+        )
+    return {key: _checked_param(key, kinds[key], value) for key, value in params.items()}
 
 
 @dataclass(frozen=True)
@@ -189,11 +232,10 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if self.generator not in GENERATORS:
+        if self.generator not in _GENERATORS:
             raise ValidationError(f"unknown generator {self.generator!r}")
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown method {self.method!r}")
-        allowed_axes = _SWEEP_AXES[self.generator]
+        method_params = _checked_method_params(self.method, self.method_params)
+        allowed_axes = _GENERATORS[self.generator][1]
         if self.sweep_axis not in allowed_axes:
             raise ValidationError(
                 f"sweep axis {self.sweep_axis!r} not valid for {self.generator}; "
@@ -217,21 +259,22 @@ class ExperimentConfig:
             values = tuple(int(v) for v in values)
         if self.repetitions < 1:
             raise ValidationError(f"repetitions must be >= 1, got {self.repetitions}")
-        unknown = set(self.method_params) - _METHOD_KEYS[self.method]
-        if unknown:
-            raise ValidationError(
-                f"method_params: unknown keys {sorted(unknown)} for {self.method}; "
-                f"allowed: {sorted(_METHOD_KEYS[self.method])}"
-            )
         object.__setattr__(self, "sweep_values", values)
-        object.__setattr__(self, "method_params", dict(self.method_params))
+        object.__setattr__(self, "method_params", method_params)
         object.__setattr__(self, "seed", int(self.seed))
+
+
+def generator_config_from_dict(kind: str, params: dict):
+    """Build a generator config of the given kind from JSON data."""
+    if kind not in _GENERATORS:
+        raise ValidationError(
+            f"unknown generator {kind!r}; expected one of {sorted(_GENERATORS)}"
+        )
+    return dataclass_from_dict(_GENERATORS[kind][0], params, f"generator_params[{kind}]")
 
 
 def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     """Parse and validate an experiment config JSON object (strict keys)."""
-    from .io import generator_config_from_dict
-
     require_schema_version(obj, "experiment config")
     allowed = {
         "schema_version",
@@ -309,51 +352,45 @@ def resolve_feature_specs(
     )
 
 
-def _kernel_spec_from_params(params, default: KernelSpec, context: str) -> KernelSpec:
-    if params is None:
-        return default
-    return dataclass_from_dict(KernelSpec, params, context)
-
-
 def run_method(
-    config: ExperimentConfig, dataset: MultiEnvDataset, seed: int
+    method: str,
+    params: dict,
+    dataset: MultiEnvDataset,
+    seed: int,
+    generator: str | None = None,
+    generator_config=None,
 ) -> TestResult:
-    """Run the configured method once on a dataset."""
-    params = config.method_params
-    alpha = float(params.get("alpha", 0.05))
-    resamples = int(params.get("resamples", 1000))
-    if config.method in (METHOD_MINT, METHOD_MINT_NO_BOOTSTRAP):
-        psi_spec, phi_spec = resolve_feature_specs(
-            config.generator, config.generator_config, params
-        )
-        kwargs = {}
-        if "ridge_jitter" in params:
-            kwargs["ridge_jitter"] = float(params["ridge_jitter"])
-        return mint_test(
+    """Run one method once on a dataset: the package's one method dispatch.
+
+    ``params`` are the method's ``method_params``; an absent key takes its
+    default. Feature maps default to well-specified for ``generator`` (see
+    :func:`resolve_feature_specs`), and to degree 1 without one.
+    """
+    params = _checked_method_params(method, params)
+    alpha = params.get("alpha", 0.05)
+    resamples = params.get("resamples", 1000)
+    if method == METHOD_KERNEL_MINT:
+        return kernel_mint_test(
             dataset,
-            psi_spec,
-            phi_spec,
+            params.get("treatment_kernel", KernelSpec()),
+            params.get("outcome_kernel", KernelSpec()),
             alpha=alpha,
             M=resamples,
             seed=seed,
-            use_bootstrap=config.method == METHOD_MINT,
-            **kwargs,
         )
-    if config.method == METHOD_TRANSPORTABILITY:
-        _, phi_spec = resolve_feature_specs(
-            config.generator, config.generator_config, params
-        )
+    psi_spec, phi_spec = resolve_feature_specs(generator, generator_config, params)
+    if method == METHOD_TRANSPORTABILITY:
         variant = params.get("variant", FULL_INTERACTION)
         return transportability_test(dataset, phi_spec, variant=variant, alpha=alpha)
-    default = KernelSpec()
-    k_spec = _kernel_spec_from_params(
-        params.get("treatment_kernel"), default, "treatment_kernel"
-    )
-    h_spec = _kernel_spec_from_params(
-        params.get("outcome_kernel"), default, "outcome_kernel"
-    )
-    return kernel_mint_test(
-        dataset, k_spec, h_spec, alpha=alpha, M=resamples, seed=seed
+    return mint_test(
+        dataset,
+        psi_spec,
+        phi_spec,
+        alpha=alpha,
+        M=resamples,
+        seed=seed,
+        use_bootstrap=method == METHOD_MINT,
+        ridge_jitter=params.get("ridge_jitter", DEFAULT_RIDGE_JITTER),
     )
 
 
@@ -365,24 +402,31 @@ def _cell_generator_config(config: ExperimentConfig, value):
     return dataclasses.replace(base, **{axis: value})
 
 
-def _generate_dataset(
-    generator: str, gen_config, rng: np.random.Generator, panel: CovariatePanel | None
+def generate_dataset(
+    kind: str, config, rng: np.random.Generator, panel: CovariatePanel | None = None
 ):
-    if generator == "linear_example":
-        return generate_linear_example(gen_config, rng)
-    if generator == "polynomial":
-        return generate_polynomial(gen_config, rng)
+    """One draw of generator ``kind``: ``(dataset, ground truth)``.
+
+    The package's one generator dispatch; ``semi_synthetic`` draws over
+    ``panel``, the source covariate panel.
+    """
+    if kind == "linear_example":
+        return generate_linear_example(config, rng)
+    if kind == "polynomial":
+        return generate_polynomial(config, rng)
+    if kind != "semi_synthetic":
+        raise ValidationError(f"unknown generator {kind!r}; expected one of {sorted(_GENERATORS)}")
     if panel is None:
         raise ValidationError("semi_synthetic generator needs a covariate panel")
     return semi_synthetic_generate(
         panel,
-        n_confounders=gen_config.n_confounders,
-        degree=gen_config.degree,
-        observed_subset_size=gen_config.observed_subset_size,
-        confounded=gen_config.confounded,
+        n_confounders=config.n_confounders,
+        degree=config.degree,
+        observed_subset_size=config.observed_subset_size,
+        confounded=config.confounded,
         rng=rng,
-        noise_std=gen_config.noise_std,
-        resample_beta_intercept=gen_config.resample_beta_intercept,
+        noise_std=config.noise_std,
+        resample_beta_intercept=config.resample_beta_intercept,
     )
 
 
@@ -403,10 +447,13 @@ def _run_repetition(
     test_seed = int(test_ss.generate_state(1, dtype=np.uint64)[0])
     try:
         gen_config = _cell_generator_config(config, value)
-        dataset, _ = _generate_dataset(
+        dataset, _ = generate_dataset(
             config.generator, gen_config, np.random.default_rng(gen_ss), panel
         )
-        result = run_method(config, dataset, test_seed)
+        result = run_method(
+            config.method, config.method_params, dataset, test_seed,
+            config.generator, config.generator_config,
+        )
     except Exception as exc:
         raise BenchmarkError(
             f"repetition failed at {config.sweep_axis}={value!r}, "
@@ -432,8 +479,6 @@ def run_benchmark(
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     if config.generator == "semi_synthetic" and panel is None:
-        from .io import load_covariate_panel
-
         spec = config.generator_config
         panel = load_covariate_panel(
             spec.covariates_csv, spec.env_column, spec.covariate_columns

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset
-from .dgp import LinearExampleConfig, PolynomialConfig
 from .errors import ValidationError
 from .mint import TestResult
 
@@ -123,7 +122,12 @@ def _read_env_table(path, env_column, named, covariate_columns):
         raise ValidationError(
             f"{path}: found {len(groups)} environment(s), need at least 2"
         )
-    return [(env, np.frombuffer(t).reshape(-1, len(columns))) for env, t in groups.items()]
+    # Each label is copied: the cell string itself sits amid the parse's
+    # short-lived objects and would keep their memory arenas resident.
+    return [
+        (env.encode().decode(), np.frombuffer(t).reshape(-1, len(columns)))
+        for env, t in groups.items()
+    ]
 
 
 def load_csv_dataset(path, schema: CsvSchema = CsvSchema()) -> MultiEnvDataset:
@@ -222,12 +226,6 @@ def test_result_to_dict(result: TestResult) -> dict:
     return out
 
 
-_GENERATOR_CONFIGS = {
-    "linear_example": LinearExampleConfig,
-    "polynomial": PolynomialConfig,
-}
-
-
 def dataclass_from_dict(cls, params: dict, context: str):
     """Instantiate a config dataclass from JSON data, rejecting unknown keys."""
     if not isinstance(params, dict):
@@ -238,29 +236,10 @@ def dataclass_from_dict(cls, params: dict, context: str):
         raise ValidationError(
             f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
-    kwargs = dict(params)
-    if "varying" in kwargs and kwargs["varying"] is not None:
-        kwargs["varying"] = frozenset(kwargs["varying"])
-    if "varying_range" in kwargs and kwargs["varying_range"] is not None:
-        kwargs["varying_range"] = tuple(kwargs["varying_range"])
-    if "covariate_columns" in kwargs and kwargs["covariate_columns"] is not None:
-        kwargs["covariate_columns"] = tuple(kwargs["covariate_columns"])
     try:
-        return cls(**kwargs)
+        return cls(**params)
     except TypeError as exc:
         raise ValidationError(f"{context}: {exc}") from None
-
-
-def generator_config_from_dict(kind: str, params: dict):
-    """Build a generator config of the given kind from JSON data."""
-    from .harness import SemiSyntheticSpec  # local import to avoid a cycle
-
-    table = dict(_GENERATOR_CONFIGS, semi_synthetic=SemiSyntheticSpec)
-    if kind not in table:
-        raise ValidationError(
-            f"unknown generator {kind!r}; expected one of {sorted(table)}"
-        )
-    return dataclass_from_dict(table[kind], params, f"generator_params[{kind}]")
 
 
 def load_json_config(path) -> dict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import MultiEnvDataset, as_float_matrix
+from .dataset import MultiEnvDataset, as_float_matrix, is_real
 from .errors import NumericalError, ValidationError
 from .mint import (
     METHOD_KERNEL_MINT,
@@ -43,7 +43,8 @@ EXPERIMENTAL_WARNING = (
 class KernelSpec:
     """Kernel family, bandwidth, and ridge strength for one working model.
 
-    ``bandwidth`` is either a positive number or the string
+    ``bandwidth`` is either a positive finite number, with
+    ``2 * bandwidth**2`` a normal float, or the string
     ``"median_heuristic"``, resolved against data by
     :func:`resolve_bandwidth`. The ridge convention is the kernel one: the
     dual system uses ``n * ridge_lambda`` (sample-size scaled), unlike the
@@ -60,10 +61,20 @@ class KernelSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != MEDIAN_HEURISTIC:
                 raise ValidationError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            raise ValidationError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if not self.ridge_lambda > 0:
-            raise ValidationError(f"ridge_lambda must be > 0, got {self.ridge_lambda}")
+        else:
+            # gram divides by 2 * bandwidth**2, which must neither overflow
+            # nor underflow.
+            with np.errstate(over="ignore", under="ignore"):
+                ok = is_real(self.bandwidth) and self.bandwidth > 0 and (
+                    np.finfo(float).tiny <= 2.0 * np.float64(self.bandwidth) ** 2 < np.inf
+                )
+            if not ok:
+                raise ValidationError(
+                    "bandwidth must be a finite number > 0 with 2 * bandwidth**2 a "
+                    f"normal float, got {self.bandwidth!r}"
+                )
+        if not (is_real(self.ridge_lambda) and 0 < self.ridge_lambda < np.inf):
+            raise ValidationError(f"ridge_lambda must be > 0 and finite, got {self.ridge_lambda}")
 
 
 def resolve_bandwidth(spec: KernelSpec, rows: np.ndarray) -> KernelSpec:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import mechindep
 
 DELETED_NAMES = {
@@ -24,3 +27,19 @@ def test_no_duplicate_exports():
 def test_deleted_names_stay_deleted():
     assert DELETED_NAMES.isdisjoint(mechindep.__all__)
     assert not any(hasattr(mechindep, name) for name in DELETED_NAMES)
+
+
+def test_no_function_local_relative_imports():
+    # A relative import inside a function hides an import cycle between the
+    # package's modules; absolute imports of third-party modules may stay.
+    found = set()
+    for path in sorted(Path(mechindep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.ImportFrom) and node.level > 0
+                )
+    assert sorted(found) == []

@@ -7,6 +7,7 @@ import pytest
 from mechindep import (
     BenchmarkError,
     CovariatePanel,
+    KernelSpec,
     LinearExampleConfig,
     PolynomialConfig,
     ValidationError,
@@ -15,6 +16,7 @@ from mechindep import (
     run_benchmark,
     semi_synthetic_generate,
 )
+from mechindep.cli import main
 from mechindep.harness import ExperimentConfig, _standardize_panel, repetition_seed_sequence
 
 
@@ -109,7 +111,7 @@ class TestSemiSyntheticGenerate:
             )
 
 
-def tiny_experiment(method="mint", generator="polynomial", **overrides):
+def tiny_experiment_obj(method="mint", generator="polynomial", **overrides):
     obj = {
         "schema_version": 1,
         "generator": generator,
@@ -127,7 +129,11 @@ def tiny_experiment(method="mint", generator="polynomial", **overrides):
         "seed": 11,
     }
     obj.update(overrides)
-    return experiment_config_from_dict(obj)
+    return obj
+
+
+def tiny_experiment(method="mint", generator="polynomial", **overrides):
+    return experiment_config_from_dict(tiny_experiment_obj(method, generator, **overrides))
 
 
 class TestExperimentConfig:
@@ -156,6 +162,45 @@ class TestExperimentConfig:
     def test_unknown_method_param_rejected(self):
         with pytest.raises(ValidationError, match="method_params"):
             tiny_experiment(method_params={"alpha": 0.05, "wat": 2})
+
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("mint", {"include_interactions": "false"}),
+            ("mint", {"include_square": 1}),
+            ("mint", {"feature_degree": 2.7}),
+            ("mint", {"feature_degree": True}),
+            ("mint", {"resamples": 20.9}),
+            ("mint", {"resamples": "abc"}),
+            ("mint", {"alpha": "x"}),
+            ("mint_no_bootstrap", {"ridge_jitter": None}),
+            ("transportability", {"alpha": False}),
+            ("transportability", {"variant": "nope"}),
+            ("kernel_mint", {"treatment_kernel": {"bandwidth": float("inf")}}),
+            ("kernel_mint", {"outcome_kernel": {"kind": "cubic"}}),
+            ("kernel_mint", {"outcome_kernel": [1]}),
+        ],
+    )
+    def test_mistyped_method_param_rejected_at_parse_time(
+        self, tmp_path, capsys, method, params
+    ):
+        obj = tiny_experiment_obj(method=method, method_params=params)
+        with pytest.raises(ValidationError):
+            experiment_config_from_dict(obj)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(obj))
+        assert main(["benchmark", "--config", str(config)]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_parsed_kernels_are_specs(self):
+        config = tiny_experiment(
+            method="kernel_mint",
+            method_params={"treatment_kernel": None, "outcome_kernel": {"kind": "linear"}},
+        )
+        assert config.method_params == {
+            "treatment_kernel": KernelSpec(),
+            "outcome_kernel": KernelSpec(kind="linear"),
+        }
 
     def test_schema_version_required(self):
         with pytest.raises(ValidationError, match="schema_version"):

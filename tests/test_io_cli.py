@@ -6,14 +6,20 @@ import pytest
 from mechindep import (
     CsvSchema,
     EnvironmentBlock,
+    KernelSpec,
     MultiEnvDataset,
     ValidationError,
+    generate_dataset,
     load_covariate_panel,
     load_csv_dataset,
+    run_method,
     save_csv_dataset,
 )
 from mechindep.cli import main
+from mechindep.harness import generator_config_from_dict
+# Aliased so pytest does not collect it as a test.
 from mechindep.io import dumps_json, load_json_config
+from mechindep.io import test_result_to_dict as result_to_dict
 
 
 def awkward_dataset(seed=0):
@@ -351,6 +357,90 @@ class TestCli:
                                       "sweep": {"axis": "n_envs", "values": [3]},
                                       "repetitions": 1, "seed": 0, "wat": 1}))
         assert main(["benchmark", "--config", str(config), "--output", str(tmp_path / "o.csv")]) == 1
+
+
+class TestCliRunsThroughHarness:
+    @pytest.mark.parametrize(
+        "flags, method, params, seed",
+        [
+            (["--resamples", "40", "--seed", "3", "--interactions", "--alpha", "0.1"],
+             "mint", {"resamples": 40, "include_interactions": True, "alpha": 0.1}, 3),
+            (["--no-bootstrap", "--feature-degree", "2", "--seed", "4"],
+             "mint_no_bootstrap", {"feature_degree": 2}, 4),
+            (["--method", "transportability", "--variant", "intercept_shift", "--square"],
+             "transportability", {"variant": "intercept_shift", "include_square": True}, 0),
+            (["--method", "kernel_mint", "--kernel-kind", "rbf", "--kernel-bandwidth", "0.7",
+              "--kernel-lambda", "0.01", "--resamples", "30", "--seed", "2"],
+             "kernel_mint", {"resamples": 30,
+                             "treatment_kernel": KernelSpec("rbf", 0.7, 0.01),
+                             "outcome_kernel": KernelSpec("rbf", 0.7, 0.01)}, 2),
+        ],
+    )
+    def test_test_output_is_run_method(self, tmp_path, flags, method, params, seed):
+        gen = write_generator_config(tmp_path, confounded=True)
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gen), "--output", str(data)])
+        out = tmp_path / "r.json"
+        assert main(["test", "--input", str(data), "--output", str(out)] + flags) == 0
+        result = run_method(method, params, load_csv_dataset(data), seed)
+        assert out.read_text(encoding="utf-8") == dumps_json(result_to_dict(result))
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("polynomial", {"n_envs": 5, "n_per_env": 30, "confounded": True}),
+            ("linear_example", {"n_envs": 4, "n_per_env": 25, "varying": ["alpha0"]}),
+        ],
+    )
+    def test_simulate_writes_generate_dataset(self, tmp_path, kind, params):
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps(
+            {"schema_version": 1, "generator": kind, "generator_params": params}
+        ))
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(gen), "--seed", "8", "--output", str(data)]) == 0
+        dataset, _ = generate_dataset(
+            kind,
+            generator_config_from_dict(kind, params),
+            np.random.default_rng(np.random.SeedSequence(8)),
+        )
+        save_csv_dataset(dataset, tmp_path / "expected.csv")
+        assert data.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_null_kernel_is_the_default_kernel(self, tmp_path):
+        outputs = []
+        for kernels in ({"treatment_kernel": None, "outcome_kernel": None}, {}):
+            config = tmp_path / "exp.json"
+            config.write_text(json.dumps({
+                "schema_version": 1,
+                "generator": "polynomial",
+                "generator_params": {"n_envs": 4, "n_per_env": 30},
+                "method": "kernel_mint",
+                "method_params": {"resamples": 30, **kernels},
+                "sweep": {"axis": "n_envs", "values": [4, 5]},
+                "repetitions": 2,
+                "seed": 1,
+            }))
+            out = tmp_path / "o.csv"
+            assert main(["benchmark", "--config", str(config), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kernel-bandwidth", "inf"],
+            ["--kernel-bandwidth", "1e-300"],
+            ["--kernel-lambda", "inf"],
+        ],
+    )
+    def test_out_of_range_kernel_flag_exits_one(self, tmp_path, capsys, flags):
+        gen = write_generator_config(tmp_path)
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gen), "--output", str(data)])
+        argv = ["test", "--input", str(data), "--method", "kernel_mint", "--resamples", "20"]
+        assert main(argv + flags) == 1
+        assert "must be" in capsys.readouterr().err
 
 
 class TestStrictCli:

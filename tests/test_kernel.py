@@ -39,6 +39,34 @@ def explicit_statistic(dataset):
     return frobenius_statistic(np.asarray(omegas), np.asarray(gammas))
 
 
+class TestKernelSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "cubic"},
+            {"bandwidth": "wide"},
+            {"bandwidth": 0.0},
+            {"bandwidth": -1.0},
+            {"bandwidth": np.inf},
+            {"bandwidth": np.nan},
+            {"bandwidth": 1e-300},  # 2 * bandwidth**2 underflows to 0
+            {"bandwidth": 1e-154},  # 2 * bandwidth**2 is subnormal
+            {"bandwidth": 1e154},  # 2 * bandwidth**2 overflows
+            {"bandwidth": True},
+            {"ridge_lambda": 0.0},
+            {"ridge_lambda": np.inf},
+            {"ridge_lambda": np.nan},
+        ],
+    )
+    def test_invalid_spec_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            KernelSpec(**kwargs)
+
+    @pytest.mark.parametrize("bandwidth", [1.1e-154, 9e153, 2])
+    def test_bandwidth_with_normal_divisor_accepted(self, bandwidth):
+        assert KernelSpec(bandwidth=bandwidth).bandwidth == bandwidth
+
+
 class TestGram:
     def test_linear_example(self):
         X = np.array([[1.0], [2.0]])
