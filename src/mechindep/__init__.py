@@ -77,7 +77,6 @@ from .kernel import (
 )
 from .mint import (
     TestResult,
-    bootstrap_refit,
     calibrate_threshold,
     frobenius_statistic,
     mint_test,
@@ -120,7 +119,6 @@ __all__ = [
     "TestResult",
     "ValidationError",
     "benchmark_rows_to_csv",
-    "bootstrap_refit",
     "build_outcome_features",
     "build_treatment_features",
     "calibrate_threshold",

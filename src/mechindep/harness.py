@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import FULL_INTERACTION, INTERCEPT_SHIFT, transportability_test
-from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset, is_real
+from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset
 from .dgp import (
     VARYING_PARAMETER_NAMES,
     LinearExampleConfig,
@@ -28,7 +28,9 @@ from .dgp import (
 )
 from .errors import BenchmarkError, ValidationError
 from .features import FeatureSpec, build_treatment_features, outcome_spec, treatment_spec
-from .io import dataclass_from_dict, format_float, load_covariate_panel, require_schema_version
+from .io import (
+    check_value, dataclass_from_dict, format_float, load_covariate_panel, require_schema_version,
+)
 from .kernel import KernelSpec, kernel_mint_test
 from .mint import (
     DEFAULT_RIDGE_JITTER,
@@ -189,23 +191,12 @@ def _checked_param(key: str, kind, value):
         if isinstance(value, KernelSpec):
             return value
         return dataclass_from_dict(KernelSpec, value, f"method_params[{key!r}]")
-    if kind is bool:
-        ok, expected = isinstance(value, bool), "true or false"
-    elif kind is int:
-        ok, expected = is_real(value) and isinstance(value, (int, np.integer)), "an integer"
-    elif kind is float:
-        ok, expected = is_real(value), "a number"
-    else:
-        ok, expected = value in kind, f"one of {list(kind)}"
-    if not ok:
-        raise ValidationError(f"method_params[{key!r}]: expected {expected}, got {value!r}")
-    return value
+    return check_value(value, kind, f"method_params[{key!r}]")
 
 
 def _checked_method_params(method: str, params: dict) -> dict:
     """``params`` checked against the method's keys and kinds, kernels built."""
-    if method not in _METHOD_PARAMS:
-        raise ValidationError(f"unknown method {method!r}")
+    check_value(method, tuple(_METHOD_PARAMS), "method")
     if not isinstance(params, dict):
         raise ValidationError(f"method_params: expected an object, got {type(params).__name__}")
     kinds = _METHOD_PARAMS[method]
@@ -232,31 +223,20 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if self.generator not in _GENERATORS:
-            raise ValidationError(f"unknown generator {self.generator!r}")
+        check_value(self.generator, tuple(_GENERATORS), "generator")
         method_params = _checked_method_params(self.method, self.method_params)
-        allowed_axes = _GENERATORS[self.generator][1]
-        if self.sweep_axis not in allowed_axes:
-            raise ValidationError(
-                f"sweep axis {self.sweep_axis!r} not valid for {self.generator}; "
-                f"allowed: {list(allowed_axes)}"
-            )
+        axis = self.sweep_axis
+        check_value(axis, _GENERATORS[self.generator][1], f"sweep axis for {self.generator}")
         values = tuple(self.sweep_values)
         if not values:
             raise ValidationError("sweep values must be non-empty")
-        if self.sweep_axis == "varying_parameter":
-            bad = [v for v in values if v not in VARYING_PARAMETER_NAMES]
-            if bad:
-                raise ValidationError(
-                    f"invalid varying-parameter values: {bad}; "
-                    f"allowed: {list(VARYING_PARAMETER_NAMES)}"
-                )
+        if axis == "varying_parameter":
+            for v in values:
+                check_value(v, VARYING_PARAMETER_NAMES, "varying-parameter value")
         else:
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
-                raise ValidationError(
-                    f"axis {self.sweep_axis!r} takes integer values, got {values!r}"
-                )
-            values = tuple(int(v) for v in values)
+            values = tuple(int(check_value(v, int, f"axis {axis!r} value")) for v in values)
+        check_value(self.repetitions, int, "repetitions")
+        check_value(self.seed, int, "seed")
         if self.repetitions < 1:
             raise ValidationError(f"repetitions must be >= 1, got {self.repetitions}")
         object.__setattr__(self, "sweep_values", values)
@@ -266,10 +246,7 @@ class ExperimentConfig:
 
 def generator_config_from_dict(kind: str, params: dict):
     """Build a generator config of the given kind from JSON data."""
-    if kind not in _GENERATORS:
-        raise ValidationError(
-            f"unknown generator {kind!r}; expected one of {sorted(_GENERATORS)}"
-        )
+    check_value(kind, tuple(_GENERATORS), "generator")
     return dataclass_from_dict(_GENERATORS[kind][0], params, f"generator_params[{kind}]")
 
 

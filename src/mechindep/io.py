@@ -10,15 +10,15 @@ unknown keys are errors.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
+import typing
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset
+from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset, is_real
 from .errors import ValidationError
 from .mint import TestResult
 
@@ -226,16 +226,34 @@ def test_result_to_dict(result: TestResult) -> dict:
     return out
 
 
+def check_value(value, kind, context: str):
+    """``value`` if of ``kind`` (bool, int, float, or a tuple of allowed values)."""
+    if kind is bool:  # a bool is never a number; an integer is a valid float
+        ok, expected = isinstance(value, bool), "true or false"
+    elif kind is int:
+        ok, expected = is_real(value) and isinstance(value, (int, np.integer)), "an integer"
+    elif kind is float:
+        ok, expected = is_real(value), "a number"
+    else:
+        ok, expected = value in kind, f"one of {list(kind)}"
+    if not ok:
+        raise ValidationError(f"{context}: expected {expected}, got {value!r}")
+    return value
+
+
 def dataclass_from_dict(cls, params: dict, context: str):
-    """Instantiate a config dataclass from JSON data, rejecting unknown keys."""
+    """A config dataclass from JSON data; unknown keys and mistyped scalars are errors."""
     if not isinstance(params, dict):
         raise ValidationError(f"{context}: expected an object, got {type(params).__name__}")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(params) - allowed
+    kinds = typing.get_type_hints(cls)  # field name -> annotation
+    unknown = set(params) - set(kinds)
     if unknown:
         raise ValidationError(
-            f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}"
+            f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(kinds)}"
         )
+    for key, value in params.items():
+        if kinds[key] in (bool, int, float):
+            check_value(value, kinds[key], f"{context}[{key!r}]")
     try:
         return cls(**params)
     except TypeError as exc:

@@ -4,6 +4,7 @@ from pathlib import Path
 import mechindep
 
 DELETED_NAMES = {
+    "bootstrap_refit",
     "PartialCorrelation",
     "partial_correlation",
     "kernel_dual",

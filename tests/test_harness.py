@@ -192,6 +192,35 @@ class TestExperimentConfig:
         assert main(["benchmark", "--config", str(config)]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("key", ["repetitions", "seed"])
+    @pytest.mark.parametrize("value", ["x", 2.5, 1.5, True])
+    def test_mistyped_repetitions_or_seed_rejected(self, tmp_path, capsys, key, value):
+        obj = tiny_experiment_obj(**{key: value})
+        with pytest.raises(ValidationError, match=f"{key}: expected an integer"):
+            experiment_config_from_dict(obj)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(obj))
+        assert main(["benchmark", "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("overrides", [{"method": ["mint"]}, {"generator": ["polynomial"]}])
+    def test_list_valued_name_rejected(self, overrides):
+        with pytest.raises(ValidationError, match="expected one of"):
+            tiny_experiment(**overrides)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5}, {"noise_std": True}],
+    )
+    def test_mistyped_generator_field_rejected(self, params):
+        with pytest.raises(ValidationError, match=f"\\[{next(iter(params))!r}\\]: expected"):
+            tiny_experiment(generator_params={"n_envs": 4, "n_per_env": 40, **params})
+
+    def test_integer_accepted_for_float_generator_field(self):
+        config = tiny_experiment(generator_params={"n_envs": 4, "n_per_env": 40, "noise_std": 1})
+        assert config.generator_config == PolynomialConfig(4, 40, noise_std=1.0)
+
     def test_parsed_kernels_are_specs(self):
         config = tiny_experiment(
             method="kernel_mint",

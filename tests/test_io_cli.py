@@ -407,6 +407,22 @@ class TestCliRunsThroughHarness:
         save_csv_dataset(dataset, tmp_path / "expected.csv")
         assert data.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "params", [{"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5}]
+    )
+    def test_simulate_rejects_mistyped_generator_fields(self, tmp_path, capsys, params):
+        # "false" is a truthy string: accepted, it would simulate confounded data.
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps({
+            "schema_version": 1,
+            "generator": "polynomial",
+            "generator_params": {"n_envs": 4, "n_per_env": 30, **params},
+        }))
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(gen), "--output", str(data)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not data.exists()
+
     def test_null_kernel_is_the_default_kernel(self, tmp_path):
         outputs = []
         for kernels in ({"treatment_kernel": None, "outcome_kernel": None}, {}):

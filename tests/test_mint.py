@@ -7,7 +7,6 @@ from mechindep import (
     EnvironmentBlock,
     MultiEnvDataset,
     ValidationError,
-    bootstrap_refit,
     build_outcome_features,
     build_treatment_features,
     calibrate_threshold,
@@ -147,14 +146,22 @@ def make_dataset(K=4, n=60, seed=0, confounded=False):
     return generate_polynomial(config, np.random.default_rng(seed))[0]
 
 
+def one_bootstrap_refit(ds, psi, phi, seed):
+    """One bootstrap refit of both models: (K, z) and (K, z') arrays."""
+    omegas, gammas = mint_module._batched_bootstrap_fits(
+        ds, psi, phi, M=1, ridge_jitter=1e-8, rng=np.random.default_rng(seed)
+    )
+    return omegas[0], gammas[0]
+
+
 class TestBootstrapRefit:
     def test_deterministic_given_stream(self):
         ds = make_dataset()
         psi, phi = treatment_spec(1), outcome_spec(1)
-        a = bootstrap_refit(ds, psi, phi, rng=np.random.default_rng(99))
-        b = bootstrap_refit(ds, psi, phi, rng=np.random.default_rng(99))
-        np.testing.assert_array_equal(a.omegas, b.omegas)
-        np.testing.assert_array_equal(a.gammas, b.gammas)
+        a = one_bootstrap_refit(ds, psi, phi, 99)
+        b = one_bootstrap_refit(ds, psi, phi, 99)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_exact_interpolation_is_resampling_invariant(self):
         # Noiseless mechanisms: every full-rank resample refit reproduces the
@@ -170,8 +177,8 @@ class TestBootstrapRefit:
         psi, phi = treatment_spec(1), outcome_spec(1)
         full = fit_mechanisms(ds, psi, phi)
         for seed in range(5):
-            boot = bootstrap_refit(ds, psi, phi, rng=np.random.default_rng(seed))
-            np.testing.assert_allclose(boot.gammas, full.gammas, atol=1e-8)
+            _, gammas = one_bootstrap_refit(ds, psi, phi, seed)
+            np.testing.assert_allclose(gammas, full.gammas, atol=1e-8)
 
     def test_single_row_environments_fail_precondition(self):
         rng = np.random.default_rng(8)
@@ -181,7 +188,7 @@ class TestBootstrapRefit:
         )
         ds = MultiEnvDataset(blocks)
         with pytest.raises(ValidationError):
-            bootstrap_refit(ds, treatment_spec(1), outcome_spec(1), rng=np.random.default_rng(0))
+            one_bootstrap_refit(ds, treatment_spec(1), outcome_spec(1), 0)
 
     def test_duplicate_heavy_resample_survives_via_jitter(self):
         # Three-row environments make rank-deficient resamples likely (all
@@ -197,9 +204,9 @@ class TestBootstrapRefit:
         psi = treatment_spec(1, include_intercept=False)
         phi = outcome_spec(1, include_intercept=False)
         for seed in range(20):
-            est = bootstrap_refit(ds, psi, phi, rng=np.random.default_rng(seed))
-            assert np.all(np.isfinite(est.omegas))
-            assert np.all(np.isfinite(est.gammas))
+            omegas, gammas = one_bootstrap_refit(ds, psi, phi, seed)
+            assert np.all(np.isfinite(omegas))
+            assert np.all(np.isfinite(gammas))
 
 
 def resampled_lstsq(dataset, psi_spec, phi_spec, M, seed):
@@ -296,6 +303,63 @@ class TestBatchedBootstrapFits:
                 tracemalloc.stop()
 
         assert peak(800) - peak(100) < 8 * 2**20
+
+
+def stacked(grams):
+    """(M, m, m) Grams -> the solver's (m, m, M) layout."""
+    return np.ascontiguousarray(np.moveaxis(grams, 0, -1))
+
+
+class TestEquilibratedBatchSolve:
+    def test_matches_numpy_solve_on_well_conditioned_systems(self):
+        rng = np.random.default_rng(20)
+        for m, M in ((1, 5), (4, 50), (12, 200)):
+            X = rng.normal(size=(M, 3 * m, m))
+            grams = X.transpose(0, 2, 1) @ X
+            rhs = rng.normal(size=(M, m))
+            got = mint_module._equilibrated_batch_solve(stacked(grams), rhs.T.copy(), 1e-8)
+            want = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]
+            np.testing.assert_allclose(got.T, want, rtol=1e-12, atol=0.0)
+
+    def test_flags_exactly_the_singular_systems_and_jitters_them(self):
+        # Regular Grams interleaved with Grams of a duplicated and of a zero
+        # column; the singular ones are solved as G + lambda I with
+        # lambda = ridge_jitter * mean(diag(G)). G + lambda I has condition
+        # ~1 / ridge_jitter, so a larger ridge than the default keeps the
+        # reference solution accurate well beyond rtol.
+        rng = np.random.default_rng(21)
+        m, M, jitter = 6, 30, 1e-6
+        X = rng.normal(size=(M, 40, m))
+        X[1::3, :, 4] = X[1::3, :, 1]
+        X[2::3, :, 3] = 0.0
+        singular = np.arange(M) % 3 != 0
+        grams = X.transpose(0, 2, 1) @ X
+        rhs = np.einsum("kni,kn->ki", X, rng.normal(size=(M, 40)))
+        _, _, flagged = mint_module._equilibrated_cholesky(stacked(grams))
+        np.testing.assert_array_equal(flagged, singular)
+        got = mint_module._equilibrated_batch_solve(stacked(grams), rhs.T.copy(), jitter).T
+        assert np.all(np.isfinite(got))
+        lam = jitter * np.einsum("kii->k", grams) / m
+        ridged = grams + np.where(singular, lam, 0.0)[:, None, None] * np.eye(m)
+        want = np.linalg.solve(ridged, rhs[:, :, None])[:, :, 0]
+        np.testing.assert_allclose(got[~singular], want[~singular], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[singular], want[singular], rtol=1e-8, atol=0.0)
+
+    def test_singleton_x_resamples_are_jittered(self):
+        # x takes 11 values, one of them once, so about a third of the
+        # resamples miss it and their degree-10 designs are exactly singular.
+        # Solved without the ridge, such resamples push the null maximum to
+        # thousands of times its median.
+        rng = np.random.default_rng(0)
+        x = np.repeat(np.linspace(-1.0, 1.0, 11), [10] * 9 + [9, 1])
+        blocks = []
+        for s in range(4):
+            a = np.sin(x) + 0.3 * rng.normal(size=100)
+            y = a + x**2 + 0.3 * rng.normal(size=100)
+            blocks.append(EnvironmentBlock(f"e{s}", x[:, None], a, y))
+        ds = MultiEnvDataset(tuple(blocks))
+        res = mint_test(ds, treatment_spec(10), outcome_spec(10), M=1000, seed=0)
+        assert res.null_samples.max() <= 100 * np.median(res.null_samples)
 
 
 class TestMintTest:
