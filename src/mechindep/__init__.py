@@ -11,7 +11,6 @@ variant, and a reproducible benchmark harness with a CLI.
 from .baselines import (
     FULL_INTERACTION,
     INTERCEPT_SHIFT,
-    PValueBundle,
     combine_fisher,
     combine_tippett,
     transportability_test,
@@ -111,7 +110,6 @@ __all__ = [
     "MultiEnvDataset",
     "NumericalError",
     "OracleParams",
-    "PValueBundle",
     "PolynomialConfig",
     "RankDeficientError",
     "SemiSyntheticSpec",

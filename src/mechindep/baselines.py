@@ -14,11 +14,10 @@ Also here: the Fisher / Tippett p-value combiners.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiEnvDataset
+from .dataset import MultiEnvDataset, as_float_vector
 from .errors import ValidationError
 from .estimation import _lstsq_full_rank
 from .features import FeatureSpec, build_outcome_features
@@ -31,34 +30,19 @@ INTERCEPT_SHIFT = "intercept_shift"
 _P_FLOOR = np.finfo(float).tiny  # keep reported p-values inside (0, 1]
 
 
-@dataclass(frozen=True)
-class PValueBundle:
-    """A collection of p-values destined for one combining rule."""
-
-    values: tuple[float, ...]
-    method: str = "fisher"  # "fisher" | "tippett"
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        if not values:
-            raise ValidationError("p-value bundle must be non-empty")
-        for v in values:
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"p-values must lie in [0, 1], got {v}")
-        if self.method not in ("fisher", "tippett"):
-            raise ValidationError(f"unknown combination method {self.method!r}")
-        object.__setattr__(self, "values", values)
+def _p_values(p_values) -> np.ndarray:
+    values = as_float_vector(p_values, "p-values")
+    if not values.size:
+        raise ValidationError("p-values must be non-empty")
+    outside = values[(values < 0.0) | (values > 1.0)]
+    if outside.size:
+        raise ValidationError(f"p-values must lie in [0, 1], got {outside[0]}")
+    return values
 
 
-def _bundle_values(bundle) -> tuple[float, ...]:
-    if isinstance(bundle, PValueBundle):
-        return bundle.values
-    return PValueBundle(tuple(np.asarray(bundle, dtype=float))).values
-
-
-def combine_fisher(bundle) -> float:
+def combine_fisher(p_values) -> float:
     """Fisher combination: chi-square survival of ``-2 * sum(log p)`` on 2k dof."""
-    values = _bundle_values(bundle)
+    values = _p_values(p_values)
     if any(v == 0.0 for v in values):
         raise ValidationError(
             "Fisher combination needs p-values in (0, 1]; got an exact zero "
@@ -68,9 +52,9 @@ def combine_fisher(bundle) -> float:
     return chi2_survival(stat, 2 * len(values))
 
 
-def combine_tippett(bundle) -> float:
+def combine_tippett(p_values) -> float:
     """Tippett combination: ``1 - (1 - min p)^k``."""
-    values = _bundle_values(bundle)
+    values = _p_values(p_values)
     k = len(values)
     return float(1.0 - (1.0 - min(values)) ** k)
 

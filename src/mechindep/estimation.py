@@ -2,10 +2,6 @@
 
 The solver is factorization based (SVD via ``lstsq``), never an explicit
 normal-equation inverse, with rank tolerance ``max(n, m) * eps * sigma_max``.
-With a positive ridge penalty ``lam`` it solves ``(D'D + lam*I) b = D't``
-through the equivalent augmented least-squares system; no sample-size scaling
-is applied to ``lam`` here (the kernel module uses the ``n*lam`` convention
-and documents the difference).
 """
 
 from __future__ import annotations
@@ -98,17 +94,14 @@ def _lstsq_full_rank(design: np.ndarray, target: np.ndarray):
     return beta, float(resid @ resid), cond
 
 
-def least_squares_fit(design, target, ridge: float = 0.0) -> np.ndarray:
+def least_squares_fit(design, target) -> np.ndarray:
     """Least-squares coefficients of ``target`` on ``design``.
 
     Parameters
     ----------
     design : array-like, shape (n, m)
+        Must have more rows than columns and full column rank.
     target : array-like, shape (n,)
-    ridge : float
-        Penalty ``lam >= 0``. With ``lam == 0`` the design must have more rows
-        than columns and full column rank; with ``lam > 0`` the ridge system
-        ``(D'D + lam*I) b = D't`` is solved (no sample-size scaling of lam).
 
     Returns
     -------
@@ -117,8 +110,8 @@ def least_squares_fit(design, target, ridge: float = 0.0) -> np.ndarray:
     Raises
     ------
     RankDeficientError
-        If ``ridge == 0`` and the design is numerically rank deficient; the
-        error reports a deficient column subset.
+        If the design is numerically rank deficient; the error reports a
+        deficient column subset.
     """
     design = as_float_matrix(design, "design")
     target = as_float_vector(target, "target")
@@ -127,18 +120,9 @@ def least_squares_fit(design, target, ridge: float = 0.0) -> np.ndarray:
         raise ValidationError(
             f"design and target disagree on sample size: {n} vs {target.shape[0]}"
         )
-    if ridge < 0:
-        raise ValidationError(f"ridge must be >= 0, got {ridge}")
-    if ridge == 0.0:
-        if n <= m:
-            raise ValidationError(
-                f"unpenalized fit needs n > m, got n={n}, m={m}"
-            )
-        beta, _, _ = _lstsq_full_rank(design, target)
-        return beta
-    aug_design = np.vstack([design, np.sqrt(ridge) * np.eye(m)])
-    aug_target = np.concatenate([target, np.zeros(m)])
-    beta, _, _, _ = np.linalg.lstsq(aug_design, aug_target, rcond=max(n + m, m) * _EPS)
+    if n <= m:
+        raise ValidationError(f"least-squares fit needs n > m, got n={n}, m={m}")
+    beta, _, _ = _lstsq_full_rank(design, target)
     return beta
 
 

@@ -33,7 +33,6 @@ from .io import (
 )
 from .kernel import KernelSpec, kernel_mint_test
 from .mint import (
-    DEFAULT_RIDGE_JITTER,
     METHOD_KERNEL_MINT,
     METHOD_MINT,
     METHOD_MINT_NO_BOOTSTRAP,
@@ -169,7 +168,7 @@ _GENERATORS = {
 # The methods, each with the method_params keys it reads and the kind of
 # value each takes: a type, or a tuple of the allowed values.
 _FEATURE_PARAMS = {"feature_degree": int, "include_interactions": bool, "include_square": bool}
-_MINT_PARAMS = {"alpha": float, "resamples": int, "ridge_jitter": float, **_FEATURE_PARAMS}
+_MINT_PARAMS = {"alpha": float, "resamples": int, **_FEATURE_PARAMS}
 _METHOD_PARAMS = {
     METHOD_MINT: _MINT_PARAMS,
     METHOD_MINT_NO_BOOTSTRAP: _MINT_PARAMS,
@@ -285,7 +284,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         method=obj.get("method", METHOD_MINT),
         method_params=obj.get("method_params", {}),
         sweep_axis=sweep["axis"],
-        sweep_values=tuple(sweep["values"]),
+        sweep_values=tuple(check_value(sweep["values"], list, "sweep values")),
         repetitions=obj["repetitions"],
         seed=obj["seed"],
     )
@@ -367,7 +366,6 @@ def run_method(
         M=resamples,
         seed=seed,
         use_bootstrap=method == METHOD_MINT,
-        ridge_jitter=params.get("ridge_jitter", DEFAULT_RIDGE_JITTER),
     )
 
 

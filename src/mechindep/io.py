@@ -227,13 +227,15 @@ def test_result_to_dict(result: TestResult) -> dict:
 
 
 def check_value(value, kind, context: str):
-    """``value`` if of ``kind`` (bool, int, float, or a tuple of allowed values)."""
+    """``value`` if of ``kind``: bool, int, float, str, list, or a tuple of allowed values."""
     if kind is bool:  # a bool is never a number; an integer is a valid float
         ok, expected = isinstance(value, bool), "true or false"
     elif kind is int:
         ok, expected = is_real(value) and isinstance(value, (int, np.integer)), "an integer"
     elif kind is float:
         ok, expected = is_real(value), "a number"
+    elif kind in (str, list):
+        ok, expected = isinstance(value, kind), f"a {'string' if kind is str else 'list'}"
     else:
         ok, expected = value in kind, f"one of {list(kind)}"
     if not ok:
@@ -241,8 +243,27 @@ def check_value(value, kind, context: str):
     return value
 
 
+def _check_field(value, annotation, context: str):
+    """Check ``value`` against a field annotation: a scalar type, a tuple or
+    frozenset of them (a JSON list, of fixed length for ``tuple[a, b]``), or
+    such a type ``| None``. Other annotations are left to the class."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if annotation in (bool, int, float, str):
+        check_value(value, annotation, context)
+    elif origin in (tuple, frozenset):
+        check_value(value, list, context)
+        fixed = origin is tuple and Ellipsis not in args
+        if fixed and len(value) != len(args):
+            raise ValidationError(f"{context}: expected {len(args)} items, got {len(value)}")
+        for i, item in enumerate(value):
+            check_value(item, args[i] if fixed else args[0], f"{context}[{i}]")
+    elif type(None) in args and value is not None:
+        (inner,) = [a for a in args if a is not type(None)]
+        _check_field(value, inner, context)
+
+
 def dataclass_from_dict(cls, params: dict, context: str):
-    """A config dataclass from JSON data; unknown keys and mistyped scalars are errors."""
+    """A config dataclass from JSON data; unknown keys and mistyped fields are errors."""
     if not isinstance(params, dict):
         raise ValidationError(f"{context}: expected an object, got {type(params).__name__}")
     kinds = typing.get_type_hints(cls)  # field name -> annotation
@@ -252,8 +273,7 @@ def dataclass_from_dict(cls, params: dict, context: str):
             f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(kinds)}"
         )
     for key, value in params.items():
-        if kinds[key] in (bool, int, float):
-            check_value(value, kinds[key], f"{context}[{key!r}]")
+        _check_field(value, kinds[key], f"{context}[{key!r}]")
     try:
         return cls(**params)
     except TypeError as exc:

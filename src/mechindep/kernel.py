@@ -46,9 +46,9 @@ class KernelSpec:
     ``bandwidth`` is either a positive finite number, with
     ``2 * bandwidth**2`` a normal float, or the string
     ``"median_heuristic"``, resolved against data by
-    :func:`resolve_bandwidth`. The ridge convention is the kernel one: the
-    dual system uses ``n * ridge_lambda`` (sample-size scaled), unlike the
-    explicit-feature module.
+    :func:`resolve_bandwidth`. The dual system uses ``n * ridge_lambda``
+    (sample-size scaled); the explicit-feature least-squares fits take no
+    ridge.
     """
 
     kind: str = "rbf"  # "linear" | "rbf"

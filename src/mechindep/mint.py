@@ -40,7 +40,7 @@ SMALL_K_WARNING = (
     "the calibrated threshold carries essentially no power"
 )
 
-DEFAULT_RIDGE_JITTER = 1e-8
+_RIDGE_JITTER = 1e-8
 _PIVOT_TOL = 1e-10
 
 
@@ -265,7 +265,6 @@ def _batched_bootstrap_fits(
     psi_spec: FeatureSpec,
     phi_spec: FeatureSpec,
     M: int,
-    ridge_jitter: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All M bootstrap refits at once; returns (M, K, z) and (M, K, z').
@@ -313,7 +312,7 @@ def _batched_bootstrap_fits(
         moments = _resampled_moments(rng, W, M).T.copy()
         for fits, (gram, rhs) in ((omegas, treatment), (gammas, outcome)):
             fits[:, s, :] = _equilibrated_batch_solve(
-                moments[gram], moments[rhs], ridge_jitter
+                moments[gram], moments[rhs], _RIDGE_JITTER
             ).T
     return omegas, gammas
 
@@ -322,6 +321,22 @@ def _random_permutations(rng: np.random.Generator, M: int, K: int) -> np.ndarray
     perms = np.tile(np.arange(K), (M, 1))
     rng.permuted(perms, axis=1, out=perms)
     return perms
+
+
+def _permutation_result(
+    statistic: float, omegas_b: np.ndarray, gammas_b: np.ndarray,
+    alpha: float, seed: int, method: str,
+) -> TestResult:
+    """Calibrate on the (M, K, z) draws with their treatment-side rows permuted.
+
+    The permutations come from the second child of ``SeedSequence(seed)``;
+    ``mint_test``'s bootstrap draws from the first.
+    """
+    M, K = omegas_b.shape[:2]
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    perms = _random_permutations(rng, M, K)
+    null_samples = _batched_statistic(omegas_b[np.arange(M)[:, None], perms], gammas_b)
+    return _calibrated_result(statistic, null_samples, alpha, seed, method, K)
 
 
 def permutation_test(
@@ -336,21 +351,21 @@ def permutation_test(
     Draws ``M`` uniform permutations of the environment indices, applies each
     to the treatment-side rows only, and compares the observed statistic with
     the permuted null. This is the no-bootstrap calibration; identity
-    permutations drawn by chance are kept.
+    permutations drawn by chance are kept. The permutations come from
+    ``mint_test``'s permutation stream, so on a full-data fit this returns
+    ``mint_test(..., use_bootstrap=False)`` for the same seed.
     """
     omegas = as_float_matrix(omegas, "omegas")
     gammas = as_float_matrix(gammas, "gammas")
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
-    K = omegas.shape[0]
-    statistic = frobenius_statistic(omegas, gammas)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    perms = _random_permutations(rng, M, K)
-    null_samples = _batched_statistic(
-        omegas[perms], np.broadcast_to(gammas, (M, *gammas.shape))
-    )
-    return _calibrated_result(
-        statistic, null_samples, alpha, seed, METHOD_MINT_NO_BOOTSTRAP, K
+    return _permutation_result(
+        frobenius_statistic(omegas, gammas),
+        np.broadcast_to(omegas, (M, *omegas.shape)),
+        np.broadcast_to(gammas, (M, *gammas.shape)),
+        alpha,
+        seed,
+        METHOD_MINT_NO_BOOTSTRAP,
     )
 
 
@@ -362,16 +377,16 @@ def mint_test(
     M: int = 1000,
     seed: int = 0,
     use_bootstrap: bool = True,
-    ridge_jitter: float = DEFAULT_RIDGE_JITTER,
 ) -> TestResult:
     """Two-stage falsification test for mechanism independence.
 
     Stage one fits both working models on the full data and evaluates the
     cross-covariance statistic. Stage two builds ``M`` null draws: with
     ``use_bootstrap`` each draw refits on fresh within-environment resamples
-    (otherwise the full-data fit is reused) and the treatment-side rows are
-    randomly permuted. The threshold is the empirical ``(1 - alpha)`` null
-    quantile; rejection requires a strictly larger observed statistic.
+    (otherwise it is :func:`permutation_test` on the full-data fit) and the
+    treatment-side rows are randomly permuted. The threshold is the empirical
+    ``(1 - alpha)`` null quantile; rejection requires a strictly larger
+    observed statistic.
 
     The bootstrap resampling and the permutations consume two separately
     derived random streams, so the two randomizations are independent and the
@@ -381,19 +396,10 @@ def mint_test(
         raise ValidationError(f"M must be >= 1, got {M}")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    boot_ss, perm_ss = np.random.SeedSequence(seed).spawn(2)
     fit = fit_mechanisms(dataset, psi_spec, phi_spec)
+    if not use_bootstrap:
+        return permutation_test(fit.omegas, fit.gammas, alpha, M, seed)
+    boot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    omegas_b, gammas_b = _batched_bootstrap_fits(dataset, psi_spec, phi_spec, M, boot_rng)
     statistic = frobenius_statistic(fit.omegas, fit.gammas)
-    K = dataset.n_envs
-    if use_bootstrap:
-        omegas_b, gammas_b = _batched_bootstrap_fits(
-            dataset, psi_spec, phi_spec, M, ridge_jitter, np.random.default_rng(boot_ss)
-        )
-    else:
-        omegas_b = np.broadcast_to(fit.omegas, (M, *fit.omegas.shape))
-        gammas_b = np.broadcast_to(fit.gammas, (M, *fit.gammas.shape))
-    perms = _random_permutations(np.random.default_rng(perm_ss), M, K)
-    permuted = omegas_b[np.arange(M)[:, None], perms, :]
-    null_samples = _batched_statistic(permuted, gammas_b)
-    method = METHOD_MINT if use_bootstrap else METHOD_MINT_NO_BOOTSTRAP
-    return _calibrated_result(statistic, null_samples, alpha, seed, method, K)
+    return _permutation_result(statistic, omegas_b, gammas_b, alpha, seed, METHOD_MINT)

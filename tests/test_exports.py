@@ -1,9 +1,14 @@
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import mechindep
+from mechindep import ValidationError, combine_fisher, combine_tippett
 
 DELETED_NAMES = {
+    "PValueBundle",
     "bootstrap_refit",
     "PartialCorrelation",
     "partial_correlation",
@@ -28,6 +33,19 @@ def test_no_duplicate_exports():
 def test_deleted_names_stay_deleted():
     assert DELETED_NAMES.isdisjoint(mechindep.__all__)
     assert not any(hasattr(mechindep, name) for name in DELETED_NAMES)
+
+
+def test_deleted_parameters_stay_deleted():
+    assert "ridge_jitter" not in inspect.signature(mechindep.mint_test).parameters
+    assert "ridge" not in inspect.signature(mechindep.least_squares_fit).parameters
+    assert not hasattr(mechindep.mint, "DEFAULT_RIDGE_JITTER")
+
+
+@pytest.mark.parametrize("combine", [combine_fisher, combine_tippett])
+@pytest.mark.parametrize("p_values", [(1.5,), (), [[0.1, 0.2]], 0.3, (0.2, -0.1)])
+def test_combiners_reject_malformed_p_values(combine, p_values):
+    with pytest.raises(ValidationError):
+        combine(p_values)
 
 
 def test_no_function_local_relative_imports():

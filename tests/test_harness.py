@@ -162,6 +162,9 @@ class TestExperimentConfig:
     def test_unknown_method_param_rejected(self):
         with pytest.raises(ValidationError, match="method_params"):
             tiny_experiment(method_params={"alpha": 0.05, "wat": 2})
+        for method in ("mint", "mint_no_bootstrap"):
+            with pytest.raises(ValidationError, match=r"unknown keys \['ridge_jitter'\]"):
+                tiny_experiment(method=method, method_params={"ridge_jitter": 1e-8})
 
     @pytest.mark.parametrize(
         "method, params",
@@ -173,7 +176,7 @@ class TestExperimentConfig:
             ("mint", {"resamples": 20.9}),
             ("mint", {"resamples": "abc"}),
             ("mint", {"alpha": "x"}),
-            ("mint_no_bootstrap", {"ridge_jitter": None}),
+            ("mint_no_bootstrap", {"resamples": None}),
             ("transportability", {"alpha": False}),
             ("transportability", {"variant": "nope"}),
             ("kernel_mint", {"treatment_kernel": {"bandwidth": float("inf")}}),
@@ -211,11 +214,34 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "params",
-        [{"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5}, {"noise_std": True}],
+        [
+            {"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5}, {"noise_std": True},
+            {"varying": "alpha0"}, {"varying": ["alpha0", 1]}, {"varying_range": "ab"},
+            {"varying_range": [0.1, 3.0, 5.0]}, {"varying_range": ["a", 3.0]},
+            {"covariate_columns": "x1"}, {"covariate_columns": ["x1", 2]},
+        ],
     )
     def test_mistyped_generator_field_rejected(self, params):
-        with pytest.raises(ValidationError, match=f"\\[{next(iter(params))!r}\\]: expected"):
-            tiny_experiment(generator_params={"n_envs": 4, "n_per_env": 40, **params})
+        # A string is not a list of names, nor a list of characters.
+        key = next(iter(params))
+        generator, base = {
+            "varying": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
+            "varying_range": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
+            "covariate_columns": ("semi_synthetic", {"covariates_csv": "cov.csv"}),
+        }.get(key, ("polynomial", {"n_envs": 4, "n_per_env": 40}))
+        with pytest.raises(ValidationError, match=f"\\[{key!r}\\](\\[\\d\\])?: expected"):
+            tiny_experiment(generator=generator, generator_params={**base, **params})
+
+    @pytest.mark.parametrize("values", [5, "34", None])
+    def test_sweep_values_must_be_a_list(self, tmp_path, capsys, values):
+        obj = tiny_experiment_obj(sweep={"axis": "n_envs", "values": values})
+        with pytest.raises(ValidationError, match="sweep values: expected a list"):
+            experiment_config_from_dict(obj)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(obj))
+        assert main(["benchmark", "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_integer_accepted_for_float_generator_field(self):
         config = tiny_experiment(generator_params={"n_envs": 4, "n_per_env": 40, "noise_std": 1})

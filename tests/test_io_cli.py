@@ -408,14 +408,19 @@ class TestCliRunsThroughHarness:
         assert data.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "params", [{"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5}]
+        "params",
+        [
+            {"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5},
+            {"varying": "alpha0"}, {"varying_range": "ab"}, {"varying_range": [0.1, 3.0, 5.0]},
+        ],
     )
     def test_simulate_rejects_mistyped_generator_fields(self, tmp_path, capsys, params):
         # "false" is a truthy string: accepted, it would simulate confounded data.
+        linear = {"varying", "varying_range"} & set(params)
         gen = tmp_path / "gen.json"
         gen.write_text(json.dumps({
             "schema_version": 1,
-            "generator": "polynomial",
+            "generator": "linear_example" if linear else "polynomial",
             "generator_params": {"n_envs": 4, "n_per_env": 30, **params},
         }))
         data = tmp_path / "data.csv"

@@ -133,14 +133,19 @@ class TestKernelDual:
 
     def test_primal_dual_equivalence(self):
         # Linear-kernel dual mapped to the primal equals explicit ridge with
-        # the matching n*lambda penalty.
+        # the matching n*lambda penalty, solved as the augmented least-squares
+        # system [X; sqrt(n*lambda) I] b = [t; 0].
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 3))
         t = rng.normal(size=30)
         lam = 0.05
         c = _stable_dual(X @ X.T, t, lam)
         primal_from_dual = X.T @ c
-        explicit = least_squares_fit(X, t, ridge=30 * lam)
+        explicit = np.linalg.lstsq(
+            np.vstack([X, np.sqrt(30 * lam) * np.eye(3)]),
+            np.concatenate([t, np.zeros(3)]),
+            rcond=None,
+        )[0]
         np.testing.assert_allclose(primal_from_dual, explicit, atol=1e-8)
 
 

@@ -149,7 +149,7 @@ def make_dataset(K=4, n=60, seed=0, confounded=False):
 def one_bootstrap_refit(ds, psi, phi, seed):
     """One bootstrap refit of both models: (K, z) and (K, z') arrays."""
     omegas, gammas = mint_module._batched_bootstrap_fits(
-        ds, psi, phi, M=1, ridge_jitter=1e-8, rng=np.random.default_rng(seed)
+        ds, psi, phi, M=1, rng=np.random.default_rng(seed)
     )
     return omegas[0], gammas[0]
 
@@ -244,10 +244,10 @@ class TestBatchedBootstrapFits:
         ds = MultiEnvDataset(blocks)
         psi, phi = treatment_spec(1), outcome_spec(1, interactions=True)
         fit = mint_module._batched_bootstrap_fits
-        one = fit(ds, psi, phi, 20, 1e-8, np.random.default_rng(4))
+        one = fit(ds, psi, phi, 20, np.random.default_rng(4))
         monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", 3 * 61 + 5)
         monkeypatch.setattr(mint_module, "_BINCOUNT_ELEMENTS", 2 * 61)
-        chunked = fit(ds, psi, phi, 20, 1e-8, np.random.default_rng(4))
+        chunked = fit(ds, psi, phi, 20, np.random.default_rng(4))
         np.testing.assert_array_equal(chunked[0], one[0])
         np.testing.assert_array_equal(chunked[1], one[1])
 
@@ -268,7 +268,7 @@ class TestBatchedBootstrapFits:
         monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", 7 * 41)
         monkeypatch.setattr(mint_module, "_BINCOUNT_ELEMENTS", 3 * 41)
         omegas, gammas = mint_module._batched_bootstrap_fits(
-            ds, psi, phi, 16, 1e-8, np.random.default_rng(5)
+            ds, psi, phi, 16, np.random.default_rng(5)
         )
         want_omegas, want_gammas = resampled_lstsq(ds, psi, phi, 16, 5)
         np.testing.assert_allclose(omegas, want_omegas, rtol=1e-8, atol=1e-10)
@@ -325,7 +325,7 @@ class TestEquilibratedBatchSolve:
         # Regular Grams interleaved with Grams of a duplicated and of a zero
         # column; the singular ones are solved as G + lambda I with
         # lambda = ridge_jitter * mean(diag(G)). G + lambda I has condition
-        # ~1 / ridge_jitter, so a larger ridge than the default keeps the
+        # ~1 / ridge_jitter, so a larger ridge than mint's 1e-8 keeps the
         # reference solution accurate well beyond rtol.
         rng = np.random.default_rng(21)
         m, M, jitter = 6, 30, 1e-6
@@ -414,6 +414,17 @@ class TestMintTest:
 
 
 class TestPermutationCalibration:
+    def test_equals_mint_test_without_bootstrap(self):
+        ds = make_dataset(K=8, n=200, seed=3, confounded=True)
+        psi, phi = treatment_spec(1), outcome_spec(1)
+        fit = fit_mechanisms(ds, psi, phi)
+        a = permutation_test(fit.omegas, fit.gammas, alpha=0.1, M=200, seed=3)
+        b = mint_test(ds, psi, phi, alpha=0.1, M=200, seed=3, use_bootstrap=False)
+        assert (a.statistic, a.threshold, a.p_value, a.method) == (
+            b.statistic, b.threshold, b.p_value, b.method
+        )
+        assert a.null_samples.tobytes() == b.null_samples.tobytes()
+
     def test_type_one_error_near_alpha_on_direct_draws(self):
         # Parameters drawn i.i.d. from independent distributions, no
         # estimation step: rejection rate within 3 binomial SEs of alpha.

@@ -6,7 +6,6 @@ import scipy.integrate
 import scipy.special
 
 from mechindep import (
-    PValueBundle,
     ValidationError,
     chi2_survival,
     combine_fisher,
@@ -117,10 +116,10 @@ class TestChi2Survival:
 
 class TestCombiners:
     def test_fisher_all_ones(self):
-        assert combine_fisher(PValueBundle((1.0, 1.0, 1.0))) == pytest.approx(1.0, abs=1e-12)
+        assert combine_fisher((1.0, 1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_fisher_single_value_is_identity(self):
-        assert combine_fisher(PValueBundle((0.1,))) == pytest.approx(0.1, abs=1e-10)
+        assert combine_fisher((0.1,)) == pytest.approx(0.1, abs=1e-10)
 
     def test_fisher_two_values_chi2_oracle(self):
         stat = -2.0 * (math.log(0.05) + math.log(0.05))
@@ -148,9 +147,3 @@ class TestCombiners:
             assert 0.0 <= out <= 1.0
             bumped = np.minimum(p + rng.uniform(0.0, 1.0 - p.max() if p.max() < 1 else 0.0), 1.0)
             assert combine_tippett(bumped) >= out - 1e-12
-
-    def test_bundle_validates_range(self):
-        with pytest.raises(ValidationError):
-            PValueBundle((1.5,))
-        with pytest.raises(ValidationError):
-            PValueBundle(())
