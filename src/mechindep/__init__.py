@@ -9,8 +9,6 @@ variant, and a reproducible benchmark harness with a CLI.
 """
 
 from .baselines import (
-    FULL_INTERACTION,
-    INTERCEPT_SHIFT,
     combine_fisher,
     combine_tippett,
     transportability_test,
@@ -62,7 +60,6 @@ from .harness import (
     semi_synthetic_generate,
 )
 from .io import (
-    CsvSchema,
     load_covariate_panel,
     load_csv_dataset,
     save_csv_dataset,
@@ -95,15 +92,12 @@ __all__ = [
     "BenchmarkError",
     "BenchmarkRow",
     "CovariatePanel",
-    "CsvSchema",
     "EnvironmentBlock",
     "EnvironmentDiagnostics",
     "ExperimentConfig",
-    "FULL_INTERACTION",
     "FeatureSpec",
     "FitDiagnostics",
     "GroundTruth",
-    "INTERCEPT_SHIFT",
     "KernelSpec",
     "LinearExampleConfig",
     "MechanismEstimates",

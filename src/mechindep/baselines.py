@@ -4,9 +4,7 @@ The baseline checks the testable implication that the outcome is independent
 of the environment label given covariates and treatment. For a K-level label
 under a Gaussian linear working model this is scored with a nested-model
 partial F-test: the restricted model pools all environments, the full model
-either gives every environment its own coefficient vector
-(``full_interaction``, the default) or adds per-environment intercept shifts
-only (``intercept_shift``).
+gives every environment its own coefficient vector.
 
 Also here: the Fisher / Tippett p-value combiners.
 """
@@ -23,9 +21,6 @@ from .estimation import _lstsq_full_rank
 from .features import FeatureSpec, build_outcome_features
 from .mint import METHOD_TRANSPORTABILITY, SMALL_K_WARNING, TestResult
 from .special import chi2_survival, f_critical_value, f_survival
-
-FULL_INTERACTION = "full_interaction"
-INTERCEPT_SHIFT = "intercept_shift"
 
 _P_FLOOR = np.finfo(float).tiny  # keep reported p-values inside (0, 1]
 
@@ -70,15 +65,13 @@ def _pooled_outcome_design(dataset: MultiEnvDataset, phi_spec: FeatureSpec):
 def transportability_test(
     dataset: MultiEnvDataset,
     phi_spec: FeatureSpec,
-    variant: str = FULL_INTERACTION,
     alpha: float = 0.05,
 ) -> TestResult:
     """Nested-model F-test of outcome-mechanism invariance across environments.
 
     Restricted model: the pooled outcome regressed on the outcome features.
-    Full model: per-environment coefficient vectors (``full_interaction``) or
-    pooled features plus ``K - 1`` environment indicators
-    (``intercept_shift``). Rejecting indicates the conditional outcome law
+    Full model: per-environment coefficient vectors, which decompose into
+    separate fits. Rejecting indicates the conditional outcome law
     differs across environments, which falsifies unconfoundedness and
     transportability jointly.
 
@@ -86,19 +79,13 @@ def transportability_test(
     ``alpha`` as the threshold, and the analytic p-value; ``resamples_M`` is 0
     because no resampling is involved.
     """
-    if variant not in (FULL_INTERACTION, INTERCEPT_SHIFT):
-        raise ValidationError(f"unknown transportability variant {variant!r}")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     K = dataset.n_envs
     feature_blocks, y = _pooled_outcome_design(dataset, phi_spec)
     pooled = np.vstack(feature_blocks)
     n, z_out = pooled.shape
-
-    if variant == FULL_INTERACTION:
-        df_full = K * z_out
-    else:
-        df_full = z_out + K - 1
+    df_full = K * z_out
     if n <= df_full + 1:
         raise ValidationError(
             f"pooled sample size {n} must exceed the full-model dimension "
@@ -106,21 +93,10 @@ def transportability_test(
         )
 
     _, rss_restricted, _ = _lstsq_full_rank(pooled, y)
-
-    if variant == FULL_INTERACTION:
-        # Environment-specific coefficient sets decompose into separate fits.
-        rss_full = 0.0
-        for block, feats in zip(dataset.blocks, feature_blocks):
-            _, rss_s, _ = _lstsq_full_rank(feats, block.Y)
-            rss_full += rss_s
-    else:
-        indicators = np.zeros((n, K - 1))
-        offset = 0
-        for s, block in enumerate(dataset.blocks):
-            if s > 0:
-                indicators[offset : offset + block.n, s - 1] = 1.0
-            offset += block.n
-        _, rss_full, _ = _lstsq_full_rank(np.hstack([pooled, indicators]), y)
+    rss_full = 0.0
+    for block, feats in zip(dataset.blocks, feature_blocks):
+        _, rss_s, _ = _lstsq_full_rank(feats, block.Y)
+        rss_full += rss_s
 
     delta_df = df_full - z_out
     denom_df = n - df_full

@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import FULL_INTERACTION, INTERCEPT_SHIFT
 from .errors import BenchmarkError, NumericalError, ValidationError
 from .harness import (
     benchmark_rows_to_csv,
@@ -61,8 +60,8 @@ def _seed_flag(parser: argparse.ArgumentParser, default=0) -> None:
     parser.add_argument("--seed", type=int, default=default, help="root random seed")
 
 
-def _output_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", type=Path, default=None, help="output file path")
+def _output_flag(parser: argparse.ArgumentParser, required=False) -> None:
+    parser.add_argument("--output", type=Path, required=required, help="output file path")
 
 
 def _bandwidth(text: str) -> float | str:
@@ -83,13 +82,13 @@ def _bandwidth(text: str) -> float | str:
 # an error.
 _TEST_FLAGS = dict(
     feature_degree="feature_degree", interactions="include_interactions",
-    square="include_square", variant="variant", kernel_kind="kind",
+    square="include_square", kernel_kind="kind",
     kernel_bandwidth="bandwidth", kernel_lambda="ridge_lambda",
     seed=None, resamples="resamples", no_bootstrap=None,
 )
 _METHOD_FLAGS = {
     METHOD_MINT: {"feature_degree", "interactions", "square", "seed", "resamples", "no_bootstrap"},
-    METHOD_TRANSPORTABILITY: {"feature_degree", "interactions", "square", "variant"},
+    METHOD_TRANSPORTABILITY: {"feature_degree", "interactions", "square"},
     METHOD_KERNEL_MINT: {"kernel_kind", "kernel_bandwidth", "kernel_lambda", "seed", "resamples"},
 }
 
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="emit a dataset CSV from a generator config")
     p_sim.add_argument("--config", type=Path, required=True, help="generator config JSON")
     _seed_flag(p_sim)
-    _output_flag(p_sim)
+    _output_flag(p_sim, required=True)
 
     p_test = sub.add_parser("test", help="run one method on a dataset CSV")
     p_test.add_argument("--input", type=Path, required=True, help="dataset CSV")
@@ -127,11 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=None,
         help="add a squared-treatment column to the outcome model",
-    )
-    p_test.add_argument(
-        "--variant",
-        choices=[FULL_INTERACTION, INTERCEPT_SHIFT],
-        help="transportability test variant",
     )
     p_test.add_argument("--kernel-kind", choices=["linear", "rbf"], help="kernel family")
     p_test.add_argument(
@@ -183,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="leave unexposed confounders in the generating equations",
     )
     _seed_flag(p_semi)
-    _output_flag(p_semi)
+    _output_flag(p_semi, required=True)
 
     return parser
 
@@ -212,8 +206,6 @@ def _cmd_simulate(args) -> None:
     config = generator_config_from_dict(kind, obj.get("generator_params", {}))
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     dataset, _ = generate_dataset(kind, config, rng)
-    if args.output is None:
-        raise ValidationError("simulate requires --output for the dataset CSV")
     save_csv_dataset(dataset, args.output)
 
 
@@ -259,8 +251,6 @@ def _cmd_semisynth(args) -> None:
         confounded=args.confounded,
         rng=rng,
     )
-    if args.output is None:
-        raise ValidationError("semisynth requires --output for the dataset CSV")
     save_csv_dataset(dataset, args.output)
     summary = {
         "schema_version": SCHEMA_VERSION,

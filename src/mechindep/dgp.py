@@ -27,7 +27,7 @@ from .errors import ValidationError
 from .features import build_treatment_features, treatment_spec
 
 # Parameter names that may be redrawn per environment in the linear example,
-# per the uniform-overrule convention (range [0.1, 3.0] by default).
+# per the uniform-overrule convention.
 VARYING_PARAMETER_NAMES = (
     "alpha0",
     "alpha_x",
@@ -42,6 +42,22 @@ VARYING_PARAMETER_NAMES = (
     "mu_u",
 )
 
+# Fixed constants of the linear example: covariate and confounder standard
+# deviation, noise variance of treatment and outcome, the range a varied
+# parameter is redrawn from, and the confounder path coefficient.
+_LINEAR_SIGMA = 1.0
+_LINEAR_NOISE_VAR = 0.125
+_VARYING_RANGE = (0.1, 3.0)
+_CONFOUNDING_STRENGTH = 0.25
+
+# Fixed constants of the polynomial generator, also used by the
+# semi-synthetic pipeline for its noise.
+_COVARIATE_DIAG = 2.0
+_COVARIATE_OFFDIAG = 0.1
+_ENV_MEAN_STD = 0.5  # prior variance 1/4
+_CONFOUNDER_STD = math.sqrt(2.0)
+_NOISE_STD = 0.5
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -55,16 +71,17 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class LinearExampleConfig:
-    """Full parameterization of the linear-example generator.
+    """Parameterization of the linear-example generator.
 
     Defaults reproduce the reference setting: treatment coefficients
-    ``[1/2, 1/3]``, outcome coefficients ``[1/2, 1/3, 1/2, 1/3]``, unit-mean
-    unit-variance covariate and confounder, noise variances ``1/8``. The
+    ``[1/2, 1/3]``, outcome coefficients ``[1/2, 1/3, 1/2, 1/3]`` and unit
+    covariate and confounder means. The covariate and confounder have unit
+    variance and both noise variances are ``1/8``; these are fixed. The
     confounder path coefficients (``alpha_u``, ``beta_u``, ``beta_au``) are
     ``1/4`` when confounding is on and 0 otherwise; use :meth:`confounded`.
 
     Every name in ``varying`` is redrawn per environment, uniformly from
-    ``varying_range``.
+    [0.1, 3.0].
     """
 
     n_envs: int
@@ -80,21 +97,13 @@ class LinearExampleConfig:
     beta_au: float = 0.0
     mu_x: float = 1.0
     mu_u: float = 1.0
-    sigma_x: float = 1.0
-    sigma_u: float = 1.0
-    noise_var_a: float = 0.125
-    noise_var_y: float = 0.125
     varying: frozenset[str] = field(default_factory=frozenset)
-    varying_range: tuple[float, float] = (0.1, 3.0)
 
     def __post_init__(self):
         if self.n_envs < 2:
             raise ValidationError(f"need at least 2 environments, got {self.n_envs}")
         if self.n_per_env < 1:
             raise ValidationError(f"need at least 1 sample, got {self.n_per_env}")
-        for name in ("sigma_x", "sigma_u", "noise_var_a", "noise_var_y"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
         varying = frozenset(self.varying)
         unknown = varying - set(VARYING_PARAMETER_NAMES)
         if unknown:
@@ -102,15 +111,12 @@ class LinearExampleConfig:
                 f"unknown varying parameter names: {sorted(unknown)}; "
                 f"allowed: {list(VARYING_PARAMETER_NAMES)}"
             )
-        lo, hi = self.varying_range
-        if not lo < hi:
-            raise ValidationError(f"varying_range must be increasing, got {self.varying_range}")
         object.__setattr__(self, "varying", varying)
-        object.__setattr__(self, "varying_range", (float(lo), float(hi)))
 
-    def confounded(self, strength: float = 0.25) -> "LinearExampleConfig":
-        """Copy with the confounder path switched on."""
-        return replace(self, alpha_u=strength, beta_u=strength, beta_au=strength)
+    def confounded(self) -> "LinearExampleConfig":
+        """Copy with the confounder path coefficients set to 1/4."""
+        s = _CONFOUNDING_STRENGTH
+        return replace(self, alpha_u=s, beta_u=s, beta_au=s)
 
 
 def _is_confounded(params: dict) -> bool:
@@ -129,7 +135,7 @@ def generate_linear_example(
     vectors, in that order, so output is reproducible from the stream state.
     """
     base = {name: getattr(config, name) for name in VARYING_PARAMETER_NAMES}
-    lo, hi = config.varying_range
+    lo, hi = _VARYING_RANGE
     blocks = []
     env_params = []
     for s in range(config.n_envs):
@@ -137,10 +143,10 @@ def generate_linear_example(
         for name in sorted(config.varying):
             params[name] = float(rng.uniform(lo, hi))
         n = config.n_per_env
-        X = rng.normal(params["mu_x"], config.sigma_x, size=n)
-        U = rng.normal(params["mu_u"], config.sigma_u, size=n)
-        eps_a = rng.normal(0.0, math.sqrt(config.noise_var_a), size=n)
-        eps_y = rng.normal(0.0, math.sqrt(config.noise_var_y), size=n)
+        X = rng.normal(params["mu_x"], _LINEAR_SIGMA, size=n)
+        U = rng.normal(params["mu_u"], _LINEAR_SIGMA, size=n)
+        eps_a = rng.normal(0.0, math.sqrt(_LINEAR_NOISE_VAR), size=n)
+        eps_y = rng.normal(0.0, math.sqrt(_LINEAR_NOISE_VAR), size=n)
         A = params["alpha0"] + params["alpha_x"] * X + params["alpha_u"] * U + eps_a
         Y = (
             params["beta0"]
@@ -170,10 +176,12 @@ class PolynomialConfig:
     from {-1, +1}; outcome slopes (including the treatment coefficient) are
     1. Intercepts are standard normal and redrawn per environment; redrawing
     the outcome intercept (which breaks transportability) can be switched off
-    with ``resample_beta_intercept=False``, fixing it at 1. The optional
+    with ``resample_beta_intercept=False``, fixing it at 1. Treatment and
+    outcome noise is Gaussian with standard deviation 1/2. The optional
     confounder is Gaussian with variance 2 around a per-environment standard
     normal mean and is added to the treatment before the outcome is generated
-    from the observed treatment, then added to the outcome.
+    from the observed treatment, then added to the outcome. These scales are
+    fixed.
     """
 
     n_envs: int
@@ -182,12 +190,6 @@ class PolynomialConfig:
     degree: int = 1
     confounded: bool = False
     resample_beta_intercept: bool = True
-    covariate_diag: float = 2.0
-    covariate_offdiag: float = 0.1
-    env_mean_prior_var: float = 0.25
-    noise_std: float = 0.5
-    confounder_var: float = 2.0
-    confounder_mean_prior_var: float = 1.0
 
     def __post_init__(self):
         if self.n_envs < 2:
@@ -198,16 +200,11 @@ class PolynomialConfig:
             raise ValidationError(f"need d >= 1, got {self.n_covariates}")
         if self.degree < 1:
             raise ValidationError(f"need degree >= 1, got {self.degree}")
-        for name in ("covariate_diag", "env_mean_prior_var", "noise_std",
-                     "confounder_var", "confounder_mean_prior_var"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
 
 
-def _covariate_cholesky(config: PolynomialConfig) -> np.ndarray:
-    d = config.n_covariates
-    cov = np.full((d, d), config.covariate_offdiag)
-    np.fill_diagonal(cov, config.covariate_diag)
+def _covariate_cholesky(d: int) -> np.ndarray:
+    cov = np.full((d, d), _COVARIATE_OFFDIAG)
+    np.fill_diagonal(cov, _COVARIATE_DIAG)
     return np.linalg.cholesky(cov / math.sqrt(d))
 
 
@@ -224,25 +221,24 @@ def generate_polynomial(
     d, p, n = config.n_covariates, config.degree, config.n_per_env
     slope_alpha = rng.choice(np.array([-1.0, 1.0]), size=d * p)
     slope_beta = np.ones(d * p)
-    chol = _covariate_cholesky(config)
+    chol = _covariate_cholesky(d)
     power_spec = treatment_spec(degree=p, include_intercept=False)
-    mean_std = math.sqrt(config.env_mean_prior_var)
     blocks = []
     env_params = []
     for s in range(config.n_envs):
         alpha0 = float(rng.normal(0.0, 1.0))
         beta0 = float(rng.normal(0.0, 1.0)) if config.resample_beta_intercept else 1.0
-        mu_x = rng.normal(0.0, mean_std, size=d)
+        mu_x = rng.normal(0.0, _ENV_MEAN_STD, size=d)
         X = mu_x + rng.standard_normal((n, d)) @ chol.T
         powers = build_treatment_features(X, power_spec)
-        A = alpha0 + powers @ slope_alpha + rng.normal(0.0, config.noise_std, size=n)
+        A = alpha0 + powers @ slope_alpha + rng.normal(0.0, _NOISE_STD, size=n)
         record = {"alpha0": alpha0, "beta0": beta0}
         if config.confounded:
             mu_u = float(rng.normal(0.0, 1.0))
-            U = rng.normal(mu_u, math.sqrt(config.confounder_var), size=n)
+            U = rng.normal(mu_u, _CONFOUNDER_STD, size=n)
             A = A + U
             record["mu_u"] = mu_u
-        Y = beta0 + powers @ slope_beta + A + rng.normal(0.0, config.noise_std, size=n)
+        Y = beta0 + powers @ slope_beta + A + rng.normal(0.0, _NOISE_STD, size=n)
         if config.confounded:
             Y = Y + U
         blocks.append(EnvironmentBlock(f"env{s}", X, A, Y))
@@ -283,14 +279,18 @@ class OracleParams:
 
 
 def oracle_params_from_env(config: LinearExampleConfig, params: dict) -> OracleParams:
-    """Build oracle parameters from one environment's drawn parameter dict."""
+    """Build oracle parameters from one environment's drawn parameter dict.
+
+    ``config`` is the generating config; the confounder and treatment-noise
+    scales the oracle needs are fixed constants of the linear example.
+    """
     return OracleParams(
         alpha0=params["alpha0"],
         alpha_x=params["alpha_x"],
         alpha_u=params["alpha_u"],
         mu_u=params["mu_u"],
-        sigma_u=config.sigma_u,
-        sigma_a=math.sqrt(config.noise_var_a),
+        sigma_u=_LINEAR_SIGMA,
+        sigma_a=math.sqrt(_LINEAR_NOISE_VAR),
         beta=(params["beta0"], params["beta_x"], params["beta_a"], params["beta_ax"]),
         beta_u=params["beta_u"],
         beta_au=params["beta_au"],

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import FULL_INTERACTION, INTERCEPT_SHIFT, transportability_test
+from .baselines import transportability_test
 from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset
 from .dgp import (
+    _NOISE_STD,
     VARYING_PARAMETER_NAMES,
     LinearExampleConfig,
     PolynomialConfig,
@@ -79,18 +80,17 @@ def semi_synthetic_generate(
     observed_subset_size: int,
     confounded: bool,
     rng: np.random.Generator,
-    noise_std: float = 0.5,
-    resample_beta_intercept: bool = True,
 ) -> tuple[MultiEnvDataset, SemiSyntheticTruth]:
     """Generate treatment and outcome over real covariates.
 
     Covariates are standardized (pooled), ``n_confounders`` columns are drawn
     uniformly without replacement as the true parents of treatment and
     outcome, and (A, Y) follow the polynomial coefficient scheme over those
-    columns. Only the first ``observed_subset_size`` of the drawn columns are
-    exposed as measured covariates. With ``confounded=False`` the unexposed
-    columns are removed from the generating equations as well, so no
-    unmeasured confounders remain.
+    columns, with both intercepts redrawn per environment and noise standard
+    deviation 1/2. Only the first ``observed_subset_size`` of the drawn
+    columns are exposed as measured covariates. With ``confounded=False`` the
+    unexposed columns are removed from the generating equations as well, so
+    no unmeasured confounders remain.
     """
     if n_confounders < 1:
         raise ValidationError(f"need n_confounders >= 1, got {n_confounders}")
@@ -118,15 +118,14 @@ def semi_synthetic_generate(
     for env_id, X in panel.blocks:
         n = X.shape[0]
         alpha0 = float(rng.normal(0.0, 1.0))
-        beta0 = float(rng.normal(0.0, 1.0)) if resample_beta_intercept else 1.0
+        beta0 = float(rng.normal(0.0, 1.0))
         powers = build_treatment_features(X[:, generating], power_spec)
-        A = alpha0 + powers @ slope_alpha + rng.normal(0.0, noise_std, size=n)
-        Y = beta0 + powers @ slope_beta + A + rng.normal(0.0, noise_std, size=n)
+        A = alpha0 + powers @ slope_alpha + rng.normal(0.0, _NOISE_STD, size=n)
+        Y = beta0 + powers @ slope_beta + A + rng.normal(0.0, _NOISE_STD, size=n)
         blocks.append(EnvironmentBlock(env_id, X[:, list(observed)], A, Y))
-    varied = {"alpha0"} | ({"beta0"} if resample_beta_intercept else set())
     truth = SemiSyntheticTruth(
         confounded=bool(confounded) and bool(unmeasured),
-        varied=frozenset(varied),
+        varied=frozenset({"alpha0", "beta0"}),
         confounder_columns=tuple(int(j) for j in chosen),
         observed_columns=observed,
         unmeasured_columns=unmeasured if confounded else (),
@@ -145,8 +144,6 @@ class SemiSyntheticSpec:
     degree: int = 2
     observed_subset_size: int = 5
     confounded: bool = True
-    resample_beta_intercept: bool = True
-    noise_std: float = 0.5
 
     def __post_init__(self):
         if self.covariate_columns is not None:
@@ -172,9 +169,7 @@ _MINT_PARAMS = {"alpha": float, "resamples": int, **_FEATURE_PARAMS}
 _METHOD_PARAMS = {
     METHOD_MINT: _MINT_PARAMS,
     METHOD_MINT_NO_BOOTSTRAP: _MINT_PARAMS,
-    METHOD_TRANSPORTABILITY: {
-        "alpha": float, "variant": (FULL_INTERACTION, INTERCEPT_SHIFT), **_FEATURE_PARAMS,
-    },
+    METHOD_TRANSPORTABILITY: {"alpha": float, **_FEATURE_PARAMS},
     METHOD_KERNEL_MINT: {
         "alpha": float, "resamples": int,
         "treatment_kernel": KernelSpec, "outcome_kernel": KernelSpec,
@@ -356,8 +351,7 @@ def run_method(
         )
     psi_spec, phi_spec = resolve_feature_specs(generator, generator_config, params)
     if method == METHOD_TRANSPORTABILITY:
-        variant = params.get("variant", FULL_INTERACTION)
-        return transportability_test(dataset, phi_spec, variant=variant, alpha=alpha)
+        return transportability_test(dataset, phi_spec, alpha=alpha)
     return mint_test(
         dataset,
         psi_spec,
@@ -400,8 +394,6 @@ def generate_dataset(
         observed_subset_size=config.observed_subset_size,
         confounded=config.confounded,
         rng=rng,
-        noise_std=config.noise_std,
-        resample_beta_intercept=config.resample_beta_intercept,
     )
 
 

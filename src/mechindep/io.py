@@ -1,7 +1,9 @@
 """File formats: dataset CSV, covariate CSV, result JSON, config JSON.
 
-Dataset CSV layout: a header row, an environment column (string), treatment
-and outcome columns, and covariate columns, all decimal with '.' separator.
+Dataset CSV layout: a header row naming the columns ``env`` (environment
+label), ``a`` (treatment), ``y`` (outcome) and the covariates, which are every
+other column in file order; numbers are decimal with '.' separator and no
+column may be named twice.
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly. Config and result JSON carry an explicit ``schema_version``;
 unknown keys are errors.
@@ -13,7 +15,6 @@ import csv
 import json
 import typing
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,20 +29,6 @@ SCHEMA_VERSION = 1
 def format_float(value: float) -> str:
     """Decimal text with 17 significant digits (exact double round-trip)."""
     return format(float(value), ".17g")
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping of a dataset CSV.
-
-    ``covariate_columns=None`` takes every header column not otherwise
-    claimed, in file order.
-    """
-
-    env_column: str = "env"
-    treatment_column: str = "a"
-    outcome_column: str = "y"
-    covariate_columns: tuple[str, ...] | None = None
 
 
 def _parse_cell(raw: str, row_index: int, column: str) -> float:
@@ -98,6 +85,9 @@ def _read_env_table(path, env_column, named, covariate_columns):
     order).
     """
     header, rows = _read_rows(path)
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValidationError(f"{path}: column {name!r} named twice in header")
     fixed = [env_column, *named]
     _column_indices(header, fixed, path)
     if covariate_columns is None:
@@ -130,19 +120,15 @@ def _read_env_table(path, env_column, named, covariate_columns):
     ]
 
 
-def load_csv_dataset(path, schema: CsvSchema = CsvSchema()) -> MultiEnvDataset:
-    """Read a dataset CSV, grouping rows by the environment column.
+def load_csv_dataset(path) -> MultiEnvDataset:
+    """Read a dataset CSV (columns ``env``, ``a``, ``y``, then the covariates),
+    grouping rows by environment.
 
     Row order within an environment follows file order; environment order
     follows first appearance. Any missing or non-numeric cell aborts with a
     row/column location.
     """
-    tables = _read_env_table(
-        path,
-        schema.env_column,
-        [schema.treatment_column, schema.outcome_column],
-        schema.covariate_columns,
-    )
+    tables = _read_env_table(path, "env", ["a", "y"], None)
     return MultiEnvDataset(
         tuple(EnvironmentBlock(env, t[:, 2:], t[:, 0], t[:, 1]) for env, t in tables)
     )
@@ -244,19 +230,16 @@ def check_value(value, kind, context: str):
 
 
 def _check_field(value, annotation, context: str):
-    """Check ``value`` against a field annotation: a scalar type, a tuple or
-    frozenset of them (a JSON list, of fixed length for ``tuple[a, b]``), or
-    such a type ``| None``. Other annotations are left to the class."""
+    """Check ``value`` against a field annotation: a scalar type, a
+    ``tuple[t, ...]`` or ``frozenset[t]`` of one (a JSON list), or such a type
+    ``| None``. Other annotations are left to the class."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if annotation in (bool, int, float, str):
         check_value(value, annotation, context)
     elif origin in (tuple, frozenset):
         check_value(value, list, context)
-        fixed = origin is tuple and Ellipsis not in args
-        if fixed and len(value) != len(args):
-            raise ValidationError(f"{context}: expected {len(args)} items, got {len(value)}")
         for i, item in enumerate(value):
-            check_value(item, args[i] if fixed else args[0], f"{context}[{i}]")
+            check_value(item, args[0], f"{context}[{i}]")
     elif type(None) in args and value is not None:
         (inner,) = [a for a in args if a is not type(None)]
         _check_field(value, inner, context)

@@ -157,38 +157,33 @@ def _double_center(G: np.ndarray) -> np.ndarray:
     return G - row - col + total
 
 
+def _model_gram(inputs: list, targets: list, spec: KernelSpec) -> np.ndarray:
+    """K x K inner products of one working model's implicit parameters.
+
+    The bandwidth is resolved on the pooled inputs; environments may differ
+    in size, so each cross-Gram is n_s x n_t.
+    """
+    spec = resolve_bandwidth(spec, np.vstack(inputs))
+    duals = [
+        _stable_dual(gram(X, X, spec), target, spec.ridge_lambda)
+        for X, target in zip(inputs, targets)
+    ]
+    K = len(inputs)
+    G = np.empty((K, K))
+    for s in range(K):
+        for t in range(s, K):
+            G[s, t] = G[t, s] = duals[s] @ gram(inputs[s], inputs[t], spec) @ duals[t]
+    return G
+
+
 def _parameter_grams(
     dataset: MultiEnvDataset, k_spec: KernelSpec, h_spec: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """K x K inner-product matrices of the implicit model parameters.
-
-    Environments may differ in size: each cross-Gram is n_s x n_t.
-    """
-    pooled_X = np.vstack([b.X for b in dataset.blocks])
-    pooled_XA = np.column_stack(
-        [pooled_X, np.concatenate([b.A for b in dataset.blocks])]
-    )
-    k_spec = resolve_bandwidth(k_spec, pooled_X)
-    h_spec = resolve_bandwidth(h_spec, pooled_XA)
-    K = dataset.n_envs
-    treat_inputs = [b.X for b in dataset.blocks]
-    out_inputs = [np.column_stack([b.X, b.A]) for b in dataset.blocks]
-    duals_c = [
-        _stable_dual(gram(X, X, k_spec), b.A, k_spec.ridge_lambda)
-        for X, b in zip(treat_inputs, dataset.blocks)
-    ]
-    duals_d = [
-        _stable_dual(gram(Z, Z, h_spec), b.Y, h_spec.ridge_lambda)
-        for Z, b in zip(out_inputs, dataset.blocks)
-    ]
-    Gw = np.empty((K, K))
-    Gg = np.empty((K, K))
-    for s in range(K):
-        for t in range(s, K):
-            cross_k = gram(treat_inputs[s], treat_inputs[t], k_spec)
-            Gw[s, t] = Gw[t, s] = duals_c[s] @ cross_k @ duals_c[t]
-            cross_h = gram(out_inputs[s], out_inputs[t], h_spec)
-            Gg[s, t] = Gg[t, s] = duals_d[s] @ cross_h @ duals_d[t]
+    """Parameter Grams of the treatment model on ``X`` and the outcome model
+    on ``[X, A]``."""
+    blocks = dataset.blocks
+    Gw = _model_gram([b.X for b in blocks], [b.A for b in blocks], k_spec)
+    Gg = _model_gram([np.column_stack([b.X, b.A]) for b in blocks], [b.Y for b in blocks], h_spec)
     return Gw, Gg
 
 

@@ -8,6 +8,9 @@ import mechindep
 from mechindep import ValidationError, combine_fisher, combine_tippett
 
 DELETED_NAMES = {
+    "CsvSchema",
+    "FULL_INTERACTION",
+    "INTERCEPT_SHIFT",
     "PValueBundle",
     "bootstrap_refit",
     "PartialCorrelation",
@@ -39,6 +42,28 @@ def test_deleted_parameters_stay_deleted():
     assert "ridge_jitter" not in inspect.signature(mechindep.mint_test).parameters
     assert "ridge" not in inspect.signature(mechindep.least_squares_fit).parameters
     assert not hasattr(mechindep.mint, "DEFAULT_RIDGE_JITTER")
+    assert "variant" not in inspect.signature(mechindep.transportability_test).parameters
+    assert "schema" not in inspect.signature(mechindep.load_csv_dataset).parameters
+    assert "strength" not in inspect.signature(mechindep.LinearExampleConfig.confounded).parameters
+    semi = inspect.signature(mechindep.semi_synthetic_generate).parameters
+    assert not {"noise_std", "resample_beta_intercept"} & set(semi)
+
+
+DELETED_FIELDS = {
+    mechindep.PolynomialConfig: {
+        "covariate_diag", "covariate_offdiag", "env_mean_prior_var", "noise_std",
+        "confounder_var", "confounder_mean_prior_var",
+    },
+    mechindep.LinearExampleConfig: {
+        "sigma_x", "sigma_u", "noise_var_a", "noise_var_y", "varying_range",
+    },
+    mechindep.SemiSyntheticSpec: {"noise_std", "resample_beta_intercept"},
+}
+
+
+@pytest.mark.parametrize("cls", DELETED_FIELDS, ids=lambda cls: cls.__name__)
+def test_deleted_config_fields_stay_deleted(cls):
+    assert not DELETED_FIELDS[cls] & set(inspect.signature(cls).parameters)
 
 
 @pytest.mark.parametrize("combine", [combine_fisher, combine_tippett])

@@ -178,7 +178,7 @@ class TestExperimentConfig:
             ("mint", {"alpha": "x"}),
             ("mint_no_bootstrap", {"resamples": None}),
             ("transportability", {"alpha": False}),
-            ("transportability", {"variant": "nope"}),
+            ("transportability", {"feature_degree": "2"}),
             ("kernel_mint", {"treatment_kernel": {"bandwidth": float("inf")}}),
             ("kernel_mint", {"outcome_kernel": {"kind": "cubic"}}),
             ("kernel_mint", {"outcome_kernel": [1]}),
@@ -215,9 +215,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "params",
         [
-            {"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5}, {"noise_std": True},
-            {"varying": "alpha0"}, {"varying": ["alpha0", 1]}, {"varying_range": "ab"},
-            {"varying_range": [0.1, 3.0, 5.0]}, {"varying_range": ["a", 3.0]},
+            {"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5}, {"n_covariates": True},
+            {"varying": "alpha0"}, {"varying": ["alpha0", 1]}, {"alpha0": "ab"},
+            {"mu_u": [0.1, 3.0]}, {"resample_beta_intercept": 1},
             {"covariate_columns": "x1"}, {"covariate_columns": ["x1", 2]},
         ],
     )
@@ -226,7 +226,8 @@ class TestExperimentConfig:
         key = next(iter(params))
         generator, base = {
             "varying": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
-            "varying_range": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
+            "alpha0": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
+            "mu_u": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
             "covariate_columns": ("semi_synthetic", {"covariates_csv": "cov.csv"}),
         }.get(key, ("polynomial", {"n_envs": 4, "n_per_env": 40}))
         with pytest.raises(ValidationError, match=f"\\[{key!r}\\](\\[\\d\\])?: expected"):
@@ -244,8 +245,10 @@ class TestExperimentConfig:
         assert out == "" and err.startswith("error: ")
 
     def test_integer_accepted_for_float_generator_field(self):
-        config = tiny_experiment(generator_params={"n_envs": 4, "n_per_env": 40, "noise_std": 1})
-        assert config.generator_config == PolynomialConfig(4, 40, noise_std=1.0)
+        config = tiny_experiment(
+            generator="linear_example", generator_params={"n_envs": 4, "n_per_env": 40, "alpha0": 1}
+        )
+        assert config.generator_config == LinearExampleConfig(4, 40, alpha0=1.0)
 
     def test_parsed_kernels_are_specs(self):
         config = tiny_experiment(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mechindep import (
-    CsvSchema,
     EnvironmentBlock,
     KernelSpec,
     MultiEnvDataset,
@@ -76,20 +75,6 @@ class TestDatasetCsv:
         with pytest.raises(ValidationError, match="at least 2"):
             load_csv_dataset(path)
 
-    def test_custom_schema(self, tmp_path):
-        path = tmp_path / "named.csv"
-        path.write_text("site,treat,out,c1,c2\ns1,1,2,3,4\ns2,5,6,7,8\n")
-        ds = load_csv_dataset(
-            path,
-            CsvSchema(
-                env_column="site",
-                treatment_column="treat",
-                outcome_column="out",
-                covariate_columns=("c1", "c2"),
-            ),
-        )
-        assert ds.d == 2
-
     def test_covariate_panel_loader(self, tmp_path):
         path = tmp_path / "cov.csv"
         path.write_text("env,c1,c2\na,1,2\na,3,4\nb,5,6\n")
@@ -98,13 +83,15 @@ class TestDatasetCsv:
 
 
 LOADERS = {
-    "dataset": lambda path, **kw: load_csv_dataset(path, CsvSchema(**kw)),
-    "panel": lambda path, **kw: load_covariate_panel(path, **kw),
+    "dataset": load_csv_dataset,
+    "panel": load_covariate_panel,
 }
 
-# (file text, loader keyword arguments, expected message); "{path}" stands
-# for the file's path. The panel loader reads `a` and `y` as covariates, so
-# both loaders locate a bad cell at the same row and column.
+# (file text, panel loader keyword arguments, expected message); "{path}"
+# stands for the file's path. The panel loader reads `a` and `y` as
+# covariates, so both loaders locate a bad cell at the same row and column.
+# The dataset CSV has one column layout, so a case with keyword arguments
+# runs the panel loader only.
 MALFORMED = {
     "missing_cell": (
         "env,a,y,x1\na,1,2,3\na,,3,4\nb,0,1,2\n", {},
@@ -127,8 +114,8 @@ MALFORMED = {
         "{path}: found 1 environment(s), need at least 2",
     ),
     "unknown_env_column": (
-        "env,a,y,x1\na,1,2,3\nb,0,1,2\n", {"env_column": "site"},
-        "{path}: column 'site' not found in header",
+        "site,a,y,x1\na,1,2,3\nb,0,1,2\n", {},
+        "{path}: column 'env' not found in header",
     ),
     "unknown_covariate_column": (
         "env,a,y,x1\na,1,2,3\nb,0,1,2\n", {"covariate_columns": ("x1", "x9")},
@@ -151,12 +138,23 @@ MALFORMED = {
         "", {},
         "{path}: empty file, expected a header row",
     ),
+    "column_named_twice": (
+        "env,a,y,x1,x1\na,1,2,3,4\nb,0,1,2,3\n", {},
+        "{path}: column 'x1' named twice in header",
+    ),
 }
+LOADER_CASES = [
+    (case, loader)
+    for case in sorted(MALFORMED)
+    for loader in sorted(LOADERS)
+    if loader == "panel" or not MALFORMED[case][1]
+]
 
 
 class TestLoaderErrors:
-    @pytest.mark.parametrize("loader", sorted(LOADERS))
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize(
+        "case, loader", LOADER_CASES, ids=[f"{c}-{l}" for c, l in LOADER_CASES]
+    )
     def test_full_message(self, tmp_path, loader, case):
         text, kwargs, expected = MALFORMED[case]
         path = tmp_path / "bad.csv"
@@ -367,8 +365,8 @@ class TestCliRunsThroughHarness:
              "mint", {"resamples": 40, "include_interactions": True, "alpha": 0.1}, 3),
             (["--no-bootstrap", "--feature-degree", "2", "--seed", "4"],
              "mint_no_bootstrap", {"feature_degree": 2}, 4),
-            (["--method", "transportability", "--variant", "intercept_shift", "--square"],
-             "transportability", {"variant": "intercept_shift", "include_square": True}, 0),
+            (["--method", "transportability", "--feature-degree", "2", "--square"],
+             "transportability", {"feature_degree": 2, "include_square": True}, 0),
             (["--method", "kernel_mint", "--kernel-kind", "rbf", "--kernel-bandwidth", "0.7",
               "--kernel-lambda", "0.01", "--resamples", "30", "--seed", "2"],
              "kernel_mint", {"resamples": 30,
@@ -411,12 +409,12 @@ class TestCliRunsThroughHarness:
         "params",
         [
             {"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5},
-            {"varying": "alpha0"}, {"varying_range": "ab"}, {"varying_range": [0.1, 3.0, 5.0]},
+            {"varying": "alpha0"}, {"alpha0": "ab"}, {"varying": ["alpha0", 1]},
         ],
     )
     def test_simulate_rejects_mistyped_generator_fields(self, tmp_path, capsys, params):
         # "false" is a truthy string: accepted, it would simulate confounded data.
-        linear = {"varying", "varying_range"} & set(params)
+        linear = {"varying", "alpha0"} & set(params)
         gen = tmp_path / "gen.json"
         gen.write_text(json.dumps({
             "schema_version": 1,
@@ -486,12 +484,12 @@ class TestStrictCli:
     @pytest.mark.parametrize(
         "method, extra",
         [
-            ("mint", ["--variant", "intercept_shift", "--kernel-kind", "linear",
-                      "--kernel-bandwidth", "2", "--kernel-lambda", "5"]),
+            ("mint", ["--kernel-kind", "linear", "--kernel-bandwidth", "2",
+                      "--kernel-lambda", "5"]),
             ("transportability", ["--resamples", "7", "--seed", "0", "--kernel-kind", "rbf",
                                   "--kernel-bandwidth", "median_heuristic",
                                   "--kernel-lambda", "1"]),
-            ("kernel_mint", ["--variant", "full_interaction"]),
+            ("kernel_mint", ["--feature-degree", "2", "--square"]),
         ],
     )
     def test_error_names_every_ignored_flag(self, tmp_path, capsys, method, extra):
@@ -509,7 +507,7 @@ class TestStrictCli:
             ["--method", "mint", "--feature-degree", "1", "--interactions", "--square",
              "--seed", "2", "--resamples", "20", "--no-bootstrap"],
             ["--method", "transportability", "--feature-degree", "1", "--interactions",
-             "--square", "--variant", "intercept_shift"],
+             "--square"],
             ["--method", "kernel_mint", "--kernel-kind", "rbf", "--kernel-bandwidth", "1.5",
              "--kernel-lambda", "0.01", "--seed", "2", "--resamples", "20"],
         ],
@@ -535,12 +533,12 @@ class TestStrictCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["simulate", "--config", "g.json", "--method", "kernel_mint"],
-            ["simulate", "--config", "g.json", "--threads", "9"],
+            ["simulate", "--config", "g.json", "--output", "o.csv", "--method", "kernel_mint"],
+            ["simulate", "--config", "g.json", "--output", "o.csv", "--threads", "9"],
             ["benchmark", "--config", "e.json", "--seed", "1"],
             ["benchmark", "--config", "e.json", "--alpha", "0.1"],
             ["benchmark", "--config", "e.json", "--no-bootstrap"],
-            ["semisynth", "--covariates", "c.csv", "--resamples", "5"],
+            ["semisynth", "--covariates", "c.csv", "--output", "o.csv", "--resamples", "5"],
             ["test", "--input", "d.csv", "--threads", "2"],
         ],
     )
@@ -558,3 +556,82 @@ class TestStrictCli:
             main(["test", "--help"])
         assert exc.value.code == 0
         assert "--feature-degree" in capsys.readouterr().out
+
+
+class TestRemovedSettings:
+    # Fixed generator constants, once JSON-settable; the values are ones that
+    # misbehaved while they were settable (ignored, or a bare numerical error).
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("polynomial", {"covariate_diag": 3.0}),
+            ("polynomial", {"covariate_offdiag": 5.0, "n_covariates": 3}),
+            ("polynomial", {"env_mean_prior_var": 1.0}),
+            ("polynomial", {"noise_std": 1.0}),
+            ("polynomial", {"confounder_var": 1.0}),
+            ("polynomial", {"confounder_mean_prior_var": 100}),
+            ("linear_example", {"sigma_x": 2.0}),
+            ("linear_example", {"sigma_u": 2.0}),
+            ("linear_example", {"noise_var_a": 1.0}),
+            ("linear_example", {"noise_var_y": 1.0}),
+            ("linear_example", {"varying_range": [0.5, 1.0]}),
+        ],
+    )
+    def test_simulate_rejects_removed_generator_key(self, tmp_path, capsys, kind, params):
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps({
+            "schema_version": 1,
+            "generator": kind,
+            "generator_params": {"n_envs": 4, "n_per_env": 30, **params},
+        }))
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(gen), "--output", str(data)]) == 1
+        assert "unknown keys" in capsys.readouterr().err
+        assert not data.exists()
+
+    @pytest.mark.parametrize(
+        "generator, generator_params, method, method_params",
+        [
+            ("semi_synthetic", {"covariates_csv": "cov.csv", "noise_std": -1.0}, "mint", {}),
+            ("semi_synthetic", {"covariates_csv": "cov.csv", "resample_beta_intercept": False},
+             "mint", {}),
+            ("polynomial", {"n_envs": 4, "n_per_env": 30}, "transportability",
+             {"variant": "intercept_shift"}),
+        ],
+    )
+    def test_benchmark_rejects_removed_key(
+        self, tmp_path, capsys, generator, generator_params, method, method_params
+    ):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "schema_version": 1,
+            "generator": generator,
+            "generator_params": generator_params,
+            "method": method,
+            "method_params": method_params,
+            "sweep": {"axis": "degree", "values": [1]},
+            "repetitions": 1,
+            "seed": 0,
+        }))
+        assert main(["benchmark", "--config", str(config)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown keys" in err
+
+    def test_variant_flag_is_a_usage_error(self, capsys):
+        argv = ["test", "--input", "d.csv", "--method", "transportability"]
+        assert main(argv + ["--variant", "full_interaction"]) == 1
+        assert "unrecognized arguments: --variant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "semisynth"])
+    def test_dataset_commands_require_output(self, tmp_path, capsys, command):
+        if command == "simulate":
+            argv = ["simulate", "--config", str(write_generator_config(tmp_path))]
+        else:
+            cov = tmp_path / "cov.csv"
+            cov.write_text("env,c1,c2\na,1,2\na,3,5\nb,5,6\nb,7,9\n")
+            argv = ["semisynth", "--covariates", str(cov), "--n-confounders", "2"]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "required: --output" in err
+        assert sorted(tmp_path.iterdir()) == before

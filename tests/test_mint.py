@@ -6,12 +6,14 @@ import pytest
 from mechindep import (
     EnvironmentBlock,
     MultiEnvDataset,
+    PolynomialConfig,
     ValidationError,
     build_outcome_features,
     build_treatment_features,
     calibrate_threshold,
     fit_mechanisms,
     frobenius_statistic,
+    generate_polynomial,
     mint_test,
     outcome_spec,
     permutation_test,
@@ -424,6 +426,19 @@ class TestPermutationCalibration:
             b.statistic, b.threshold, b.p_value, b.method
         )
         assert a.null_samples.tobytes() == b.null_samples.tobytes()
+
+    @pytest.mark.parametrize("seed", [54, 59, 295])
+    def test_identity_draws_equal_the_statistic_at_k3(self, seed):
+        # With K=3 no permuted draw can fall below the statistic in exact
+        # arithmetic, so the test cannot reject; these seeds rejected when
+        # the statistic was computed apart from the null draws and an
+        # identity draw rounded 1 ulp below it.
+        ds, _ = generate_polynomial(PolynomialConfig(3, 50), np.random.default_rng(seed))
+        res = mint_test(
+            ds, treatment_spec(1), outcome_spec(1), M=200, seed=seed, use_bootstrap=False
+        )
+        assert np.count_nonzero(res.null_samples == res.statistic) > 0
+        assert not res.reject
 
     def test_type_one_error_near_alpha_on_direct_draws(self):
         # Parameters drawn i.i.d. from independent distributions, no
