@@ -3,7 +3,11 @@
 Dataset CSV layout: a header row naming the columns ``env`` (environment
 label), ``a`` (treatment), ``y`` (outcome) and the covariates, which are every
 other column in file order; numbers are decimal with '.' separator and no
-column may be named twice.
+column may be named twice. A leading UTF-8 byte-order mark is accepted.
+Rows are parsed by numpy's C reader. The accepted number syntax (that of
+Python's ``float``) and every error message are unchanged: a file the C reader
+cannot prove clean is re-read by the cell-by-cell Python parser, which names
+the bad row and column.
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly. Config and result JSON carry an explicit ``schema_version``;
 unknown keys are errors.
@@ -50,8 +54,13 @@ def _parse_cell(raw: str, row_index: int, column: str) -> float:
     return value
 
 
+def _open_csv(path):
+    # "utf-8-sig" drops a leading byte-order mark, as Excel's "CSV UTF-8" writes.
+    return open(path, newline="", encoding="utf-8-sig")
+
+
 def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _open_csv(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -77,14 +86,10 @@ def _column_indices(header, names, path):
     return indices
 
 
-def _read_env_table(path, env_column, named, covariate_columns):
-    """Rows of an environment-grouped CSV as ``(env, float matrix)`` pairs.
-
-    Each matrix holds the ``named`` columns, then the covariates
-    (``covariate_columns``, or by default every other header column in file
-    order).
-    """
-    header, rows = _read_rows(path)
+def _layout(header, path, env_column, named, covariate_columns):
+    """Index of the env column, and ``(index, name)`` of each value column:
+    ``named``, then the covariates (``covariate_columns``, or by default every
+    other header column in file order)."""
     for i, name in enumerate(header):
         if name in header[:i]:
             raise ValidationError(f"{path}: column {name!r} named twice in header")
@@ -97,8 +102,77 @@ def _read_env_table(path, env_column, named, covariate_columns):
         _column_indices(header, covariates, path)
     if not covariates:
         raise ValidationError(f"{path}: no covariate columns")
-    env_idx = header.index(env_column)
-    columns = [(header.index(c), c) for c in [*named, *covariates]]
+    return header.index(env_column), [(header.index(c), c) for c in [*named, *covariates]]
+
+
+def _read_env_table(path, env_column, named, covariate_columns):
+    """Rows of an environment-grouped CSV as ``(env, float matrix)`` pairs, in
+    order of first appearance; each matrix holds the ``_layout`` value columns.
+
+    numpy's C reader parses the file; where it cannot show that its result is
+    the Python parser's, the Python parser reads the file again and raises the
+    row/column error.
+    """
+    tables = _numpy_env_table(path, env_column, named, covariate_columns)
+    if tables is None:
+        tables = _python_env_table(path, env_column, named, covariate_columns)
+    return tables
+
+
+def _numpy_env_table(path, env_column, named, covariate_columns):
+    """``_read_env_table`` in one ``np.loadtxt`` pass, or None where the result
+    might differ from ``_python_env_table``'s or that would raise.
+
+    loadtxt splits rows and cells as ``csv.reader`` does and parses numbers
+    with the parser behind Python's ``float``. It differs in that it skips an
+    empty line, accepts ``nan`` and ``inf``, and rejects some numbers that
+    ``float`` accepts (``1_0``, non-ASCII digits); each case is deferred.
+    """
+    with _open_csv(path) as handle:
+        raw = next(csv.reader(handle), None)
+        first = handle.read(1)
+    # An empty first row is reported by the Python parser (and an all-empty
+    # body would make loadtxt warn); a header cell holding a line break would
+    # make loadtxt's one skipped line end inside the header.
+    if raw is None or first in ("", "\r", "\n") or any("\r" in h or "\n" in h for h in raw):
+        return None
+    header = [h.strip() for h in raw]
+    try:
+        env_idx, columns = _layout(header, path, env_column, named, covariate_columns)
+    except ValidationError:
+        return None  # the Python parser reports a bad row length first
+    used = {j for j, _ in columns}
+    # One field per header column, so loadtxt checks every row's cell count;
+    # a column that is not read stays text, as the Python parser leaves it.
+    dtype = np.dtype([(f"f{j}", "f8" if j in used else object) for j in range(len(header))])
+    data = Path(path).read_bytes()
+    # Lines as loadtxt's universal-newline reader splits them.
+    n_lines = data.count(b"\n") + (not data.endswith((b"\n", b"\r")))
+    if b"\r" in data:
+        n_lines += data.count(b"\r") - data.count(b"\r\n")
+    del data
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1, comments=None,
+                           quotechar='"', encoding="utf-8-sig", ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != n_lines - 1:
+        return None  # an empty line was skipped, or a quoted line break joined two
+    values = np.column_stack([table[f"f{j}"] for j, _ in columns])
+    if not np.isfinite(values).all():
+        return None
+    index: dict[str, int] = {}  # stripped label -> group, in order of first appearance
+    groups = np.array([index.setdefault(env.strip(), len(index)) for env in table[f"f{env_idx}"]])
+    if len(index) < 2 or "" in index:
+        return None
+    return [(env, values[groups == g]) for g, env in enumerate(index)]
+
+
+def _python_env_table(path, env_column, named, covariate_columns):
+    """``_read_env_table`` by ``csv.reader`` and ``float``, cell by cell; the
+    reference for the numpy path, and what locates a bad row or column."""
+    header, rows = _read_rows(path)
+    env_idx, columns = _layout(header, path, env_column, named, covariate_columns)
     # Packed doubles, so no parsed float or row list outlives its row.
     groups: dict[str, array] = {}
     for i, row in enumerate(rows, start=1):
@@ -135,7 +209,18 @@ def load_csv_dataset(path) -> MultiEnvDataset:
 
 
 def save_csv_dataset(dataset: MultiEnvDataset, path) -> None:
-    """Write a dataset to CSV in the documented layout (env, a, y, x1..xd)."""
+    """Write a dataset to CSV in the documented layout (env, a, y, x1..xd).
+
+    An environment label must be non-empty without surrounding whitespace:
+    the loaders strip labels, so ``'a'`` and ``' a'`` would load as one.
+    """
+    for env in dataset.env_ids:
+        label = str(env)
+        if not label or label != label.strip():
+            raise ValidationError(
+                f"environment label {env!r} is empty or has surrounding whitespace, "
+                "which the CSV loaders strip"
+            )
     d = dataset.d
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")

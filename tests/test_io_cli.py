@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mechindep import (
     run_method,
     save_csv_dataset,
 )
+import mechindep.io as io_module
 from mechindep.cli import main
 from mechindep.harness import generator_config_from_dict
 # Aliased so pytest does not collect it as a test.
@@ -49,6 +51,18 @@ class TestDatasetCsv:
             np.testing.assert_array_equal(a.X, b.X)
             np.testing.assert_array_equal(a.A, b.A)
             np.testing.assert_array_equal(a.Y, b.Y)
+
+    @pytest.mark.parametrize("label", [" a", "a\t", ""])
+    def test_save_rejects_label_the_loader_would_strip(self, tmp_path, label):
+        # The loaders strip labels, so "a" and " a" would load as one environment.
+        ones = np.ones(3)
+        ds = MultiEnvDataset(tuple(
+            EnvironmentBlock(env, ones[:, None], ones, ones) for env in ("a", label, "c")
+        ))
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValidationError, match=re.escape(repr(label))):
+            save_csv_dataset(ds, path)
+        assert not path.exists()
 
     def test_small_file_shape(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -142,6 +156,28 @@ MALFORMED = {
         "env,a,y,x1,x1\na,1,2,3,4\nb,0,1,2,3\n", {},
         "{path}: column 'x1' named twice in header",
     ),
+    # numpy's reader skips a blank line and accepts nan and inf; the Python
+    # parser reports each.
+    "blank_line": (
+        "env,a,y,x1\na,1,2,3\n\nb,0,1,2\n", {},
+        "row 2: expected 4 cells, got 0",
+    ),
+    "trailing_blank_line": (
+        "env,a,y,x1\na,1,2,3\n\n", {},
+        "row 2: expected 4 cells, got 0",
+    ),
+    "nan_cell": (
+        "env,a,y,x1\na,1,2,3\nb,0,nan,2\n", {},
+        "row 2, column 'y': non-finite value 'nan'",
+    ),
+    "infinity_cell": (
+        "env,a,y,x1\na,1,2,3\nb,Infinity,1,2\n", {},
+        "row 2, column 'a': non-finite value 'Infinity'",
+    ),
+    "trailing_comma": (
+        "env,a,y,x1\na,1,2,3,\nb,0,1,2\n", {},
+        "row 1: expected 4 cells, got 5",
+    ),
 }
 LOADER_CASES = [
     (case, loader)
@@ -182,6 +218,95 @@ class TestLoaderErrors:
         np.testing.assert_array_equal(panel.blocks[1][1], [[3.0, 4.0]])
         picked = load_covariate_panel(path, covariate_columns=("c2",))
         np.testing.assert_array_equal(picked.blocks[0][1], [[2.0], [6.0]])
+
+
+# (file text, panel loader keyword arguments, read by numpy's reader) for
+# files that load; the rest are re-read by the Python parser.
+LOADS = {
+    "quoted_cells": (
+        'env,a,y,x1\n"a,1",1,"2",3\n"b""q",0,1,2\n', {}, True,
+    ),
+    "quoted_newline_in_label": (
+        'env,a,y,x1\n"a\nb",1,2,3\nc,0,1,2\n', {}, False,
+    ),
+    "crlf_line_ends": ("env,a,y,x1\r\na,1,2,3\r\nb,0,1,2\r\n", {}, True),
+    "cr_line_ends": ("env,a,y,x1\ra,1,2,3\rb,0,1,2\r", {}, True),
+    "no_final_newline": ("env,a,y,x1\na,1,2,3\nb,0,1,2", {}, True),
+    "spaces_around_cells": (
+        " env , a ,y,x1\n a , 1 ,2 ,\t3\nb,0,1,2\na ,4,5,6\n", {}, True,
+    ),
+    "number_forms": ("env,a,y,x1\na,+1,2E-3,.5e+2\nb,-0,4.,1e-300\n", {}, True),
+    "underscore_number": ("env,a,y,x1\na,1_0,2,3\nb,0,1,2\n", {}, False),
+    "hash_label": ("env,a,y,x1\n#a,1,2,3\nb,0,1,2\n", {}, True),
+    "numeric_label": ("env,a,y,x1\n1.5,1,2,3\n2,0,1,2\n", {}, True),
+    "byte_order_mark": ("\ufeffenv,a,y,x1\na,1,2,3\nb,0,1,2\n", {}, True),
+    "text_outside_covariates": (
+        "env,a,y,x1,note\na,1,2,3,first\nb,0,1,2,\n",
+        {"covariate_columns": ("a", "x1")}, True,
+    ),
+}
+PARITY_CASES = [
+    (case, loader)
+    for cases in (LOADS, MALFORMED)
+    for case in sorted(cases)
+    for loader in sorted(LOADERS)
+    if loader == "panel" or not cases[case][1]
+]
+
+
+def load_outcome(loader, path, kwargs):
+    """Label order and float tables a loader returns, or its error message."""
+    try:
+        result = LOADERS[loader](path, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    if loader == "dataset":
+        tables = [(b.env_id, np.column_stack([b.A, b.Y, b.X])) for b in result.blocks]
+    else:
+        tables = list(result.blocks)
+    return [(env, t.shape, t.tobytes()) for env, t in tables]
+
+
+class TestNumpyReaderParity:
+    """Both loaders give the Python parser's tables, label order and messages."""
+
+    @pytest.mark.parametrize(
+        "case, loader", PARITY_CASES, ids=[f"{c}-{l}" for c, l in PARITY_CASES]
+    )
+    def test_matches_python_parser(self, tmp_path, monkeypatch, case, loader):
+        text, kwargs = (LOADS.get(case) or MALFORMED[case])[:2]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        python_table = io_module._python_env_table
+        calls = []
+        monkeypatch.setattr(
+            io_module, "_python_env_table",
+            lambda *args: calls.append(args) or python_table(*args),
+        )
+        got = load_outcome(loader, path, kwargs)
+        deferred = bool(calls)
+        monkeypatch.setattr(io_module, "_numpy_env_table", lambda *args: None)
+        assert got == load_outcome(loader, path, kwargs)
+        if case in LOADS:
+            assert not isinstance(got, str), got
+            assert deferred != LOADS[case][2]
+        else:
+            assert deferred
+
+    def test_saved_file_never_reaches_the_python_parser(self, tmp_path, monkeypatch):
+        def python_parser_ran(*args):
+            raise AssertionError("the Python cell parser ran")
+
+        ds = awkward_dataset()
+        path = tmp_path / "data.csv"
+        save_csv_dataset(ds, path)
+        monkeypatch.setattr(io_module, "_parse_cell", python_parser_ran)
+        back = load_csv_dataset(path)
+        assert back.env_ids == ds.env_ids
+        for a, b in zip(ds.blocks, back.blocks):
+            np.testing.assert_array_equal(a.X, b.X)
+            np.testing.assert_array_equal(a.A, b.A)
+            np.testing.assert_array_equal(a.Y, b.Y)
 
 
 class TestJsonRendering:
