@@ -31,11 +31,11 @@ from .harness import (
 )
 from .io import (
     SCHEMA_VERSION,
+    check_keys,
     dumps_json,
     load_covariate_panel,
     load_csv_dataset,
     load_json_config,
-    require_schema_version,
     save_csv_dataset,
     test_result_to_dict,
 )
@@ -190,16 +190,9 @@ def _write_or_print(text: str, output: Path | None) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    obj = load_json_config(args.config)
-    require_schema_version(obj, str(args.config))
-    allowed = {"schema_version", "generator", "generator_params"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(
-            f"{args.config}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    if "generator" not in obj:
-        raise ValidationError(f"{args.config}: missing key 'generator'")
+    kinds = {"schema_version": (SCHEMA_VERSION,), "generator": object, "generator_params": object}
+    obj = check_keys(load_json_config(args.config), kinds, str(args.config),
+                     required=("schema_version", "generator"))
     kind = obj["generator"]
     if kind == "semi_synthetic":
         raise ValidationError("use the semisynth subcommand for semi-synthetic data")

@@ -30,7 +30,8 @@ from .dgp import (
 from .errors import BenchmarkError, ValidationError
 from .features import FeatureSpec, build_treatment_features, outcome_spec, treatment_spec
 from .io import (
-    check_value, dataclass_from_dict, format_float, load_covariate_panel, require_schema_version,
+    SCHEMA_VERSION, check_keys, check_value, dataclass_from_dict, format_float,
+    load_covariate_panel,
 )
 from .kernel import KernelSpec, kernel_mint_test
 from .mint import (
@@ -177,30 +178,10 @@ _METHOD_PARAMS = {
 }
 
 
-def _checked_param(key: str, kind, value):
-    """A method_params value checked against its kind; a kernel object is built."""
-    if kind is KernelSpec:
-        if value is None:  # JSON null is the default kernel
-            return KernelSpec()
-        if isinstance(value, KernelSpec):
-            return value
-        return dataclass_from_dict(KernelSpec, value, f"method_params[{key!r}]")
-    return check_value(value, kind, f"method_params[{key!r}]")
-
-
 def _checked_method_params(method: str, params: dict) -> dict:
     """``params`` checked against the method's keys and kinds, kernels built."""
     check_value(method, tuple(_METHOD_PARAMS), "method")
-    if not isinstance(params, dict):
-        raise ValidationError(f"method_params: expected an object, got {type(params).__name__}")
-    kinds = _METHOD_PARAMS[method]
-    unknown = set(params) - set(kinds)
-    if unknown:
-        raise ValidationError(
-            f"method_params: unknown keys {sorted(unknown)} for {method}; "
-            f"allowed: {sorted(kinds)}"
-        )
-    return {key: _checked_param(key, kinds[key], value) for key, value in params.items()}
+    return check_keys(params, _METHOD_PARAMS[method], f"{method} method_params")
 
 
 @dataclass(frozen=True)
@@ -238,6 +219,15 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
+# An experiment config's keys, with the kind of each value; the values of
+# kind object are checked where they are used.
+_EXPERIMENT_KEYS = {
+    "schema_version": (SCHEMA_VERSION,), "generator": object, "generator_params": object,
+    "method": object, "method_params": object, "sweep": object, "repetitions": object,
+    "seed": object,
+}
+
+
 def generator_config_from_dict(kind: str, params: dict):
     """Build a generator config of the given kind from JSON data."""
     check_value(kind, tuple(_GENERATORS), "generator")
@@ -246,31 +236,10 @@ def generator_config_from_dict(kind: str, params: dict):
 
 def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
     """Parse and validate an experiment config JSON object (strict keys)."""
-    require_schema_version(obj, "experiment config")
-    allowed = {
-        "schema_version",
-        "generator",
-        "generator_params",
-        "method",
-        "method_params",
-        "sweep",
-        "repetitions",
-        "seed",
-    }
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(
-            f"experiment config: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    for key in ("generator", "sweep", "repetitions", "seed"):
-        if key not in obj:
-            raise ValidationError(f"experiment config: missing key {key!r}")
-    sweep = obj["sweep"]
-    if not isinstance(sweep, dict) or set(sweep) != {"axis", "values"}:
-        raise ValidationError(
-            "experiment config: sweep must be an object with exactly "
-            "the keys 'axis' and 'values'"
-        )
+    check_keys(obj, _EXPERIMENT_KEYS, "experiment config",
+               required=("schema_version", "generator", "sweep", "repetitions", "seed"))
+    sweep = check_keys(obj["sweep"], {"axis": object, "values": object},
+                       "experiment config['sweep']", required=("axis", "values"))
     generator = obj["generator"]
     gen_config = generator_config_from_dict(generator, obj.get("generator_params", {}))
     return ExperimentConfig(

@@ -10,12 +10,14 @@ cannot prove clean is re-read by the cell-by-cell Python parser, which names
 the bad row and column.
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly. Config and result JSON carry an explicit ``schema_version``;
-unknown keys are errors.
+every config object goes through ``check_keys``, so unknown keys are errors.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import json
 import typing
 from array import array
@@ -54,26 +56,39 @@ def _parse_cell(raw: str, row_index: int, column: str) -> float:
     return value
 
 
-def _open_csv(path):
-    # "utf-8-sig" drops a leading byte-order mark, as Excel's "CSV UTF-8" writes.
-    return open(path, newline="", encoding="utf-8-sig")
+@contextlib.contextmanager
+def _open_text(path, encoding="utf-8-sig"):
+    """``path`` open for reading text; a byte that is not UTF-8 is a ValidationError.
+
+    "utf-8-sig" drops a leading byte-order mark, as Excel's "CSV UTF-8" writes.
+    """
+    try:
+        with open(path, newline="", encoding=encoding) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text: cannot decode byte 0x{exc.object[exc.start]:02x}"
+        ) from None
 
 
 def _read_rows(path):
-    with _open_csv(path) as handle:
+    header, rows = None, []
+    with _open_text(path) as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"row {i}: expected {len(header)} cells, got {len(row)}"
-                )
-            rows.append(row)
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file, expected a header row")
+            header = [h.strip() for h in header]
+            for i, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise ValidationError(
+                        f"row {i}: expected {len(header)} cells, got {len(row)}"
+                    )
+                rows.append(row)
+        except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+            where = "header row" if header is None else f"row {len(rows) + 1}"
+            raise ValidationError(f"{path}: {where}: {exc}") from None
     return header, rows
 
 
@@ -128,8 +143,11 @@ def _numpy_env_table(path, env_column, named, covariate_columns):
     empty line, accepts ``nan`` and ``inf``, and rejects some numbers that
     ``float`` accepts (``1_0``, non-ASCII digits); each case is deferred.
     """
-    with _open_csv(path) as handle:
-        raw = next(csv.reader(handle), None)
+    with _open_text(path) as handle:
+        try:
+            raw = next(csv.reader(handle), None)
+        except csv.Error:
+            return None  # a header cell too long for csv, which the Python parser reports
         first = handle.read(1)
     # An empty first row is reported by the Python parser (and an all-empty
     # body would make loadtxt warn); a header cell holding a line break would
@@ -315,52 +333,60 @@ def check_value(value, kind, context: str):
 
 
 def _check_field(value, annotation, context: str):
-    """Check ``value`` against a field annotation: a scalar type, a
-    ``tuple[t, ...]`` or ``frozenset[t]`` of one (a JSON list), or such a type
-    ``| None``. Other annotations are left to the class."""
+    """``value`` checked against a field annotation: a scalar type, a tuple of
+    allowed values, a ``tuple[t, ...]`` or ``frozenset[t]`` of one (a JSON
+    list), such a type ``| None``, or a nested config dataclass, which is built
+    from an object (JSON null is its default). Other annotations are left to
+    the class."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
-    if annotation in (bool, int, float, str):
+    if annotation in (bool, int, float, str) or isinstance(annotation, tuple):
         check_value(value, annotation, context)
     elif origin in (tuple, frozenset):
         check_value(value, list, context)
         for i, item in enumerate(value):
             check_value(item, args[0], f"{context}[{i}]")
+    elif dataclasses.is_dataclass(annotation):
+        if value is None:
+            return annotation()
+        if not isinstance(value, annotation):
+            return dataclass_from_dict(annotation, value, context)
     elif type(None) in args and value is not None:
         (inner,) = [a for a in args if a is not type(None)]
-        _check_field(value, inner, context)
+        return _check_field(value, inner, context)
+    return value
 
 
-def dataclass_from_dict(cls, params: dict, context: str):
-    """A config dataclass from JSON data; unknown keys and mistyped fields are errors."""
-    if not isinstance(params, dict):
-        raise ValidationError(f"{context}: expected an object, got {type(params).__name__}")
-    kinds = typing.get_type_hints(cls)  # field name -> annotation
-    unknown = set(params) - set(kinds)
+def check_keys(obj, kinds: dict, context: str, required=()) -> dict:
+    """``obj`` checked as a JSON object whose keys are keys of ``kinds``, with
+    each of ``required`` present and each value of its kind (see
+    ``_check_field``); the values are returned, nested configs built."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{context}: expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(kinds)
     if unknown:
         raise ValidationError(
             f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(kinds)}"
         )
-    for key, value in params.items():
-        _check_field(value, kinds[key], f"{context}[{key!r}]")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(f"{context}: missing key {key!r}")
+    return {k: _check_field(v, kinds[k], f"{context}[{k!r}]") for k, v in obj.items()}
+
+
+def dataclass_from_dict(cls, params: dict, context: str):
+    """A config dataclass from JSON data; unknown keys and mistyped fields are errors."""
     try:
-        return cls(**params)
+        return cls(**check_keys(params, typing.get_type_hints(cls), context))
     except TypeError as exc:
         raise ValidationError(f"{context}: {exc}") from None
 
 
 def load_json_config(path) -> dict:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with _open_text(path, encoding="utf-8") as handle:
+            obj = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: top-level JSON value must be an object")
     return obj
-
-
-def require_schema_version(obj: dict, context: str) -> None:
-    version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError(
-            f"{context}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )

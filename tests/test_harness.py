@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mechindep import (
     benchmark_rows_to_csv,
     experiment_config_from_dict,
     run_benchmark,
+    run_method,
     semi_synthetic_generate,
 )
 from mechindep.cli import main
@@ -298,6 +300,76 @@ class TestExperimentConfig:
                     "seed": 0,
                 }
             )
+
+
+def assert_benchmark_rejects(tmp_path, capsys, obj, match):
+    """``obj`` fails to parse with ``match``, and the CLI exits 1 with nothing on stdout."""
+    with pytest.raises(ValidationError, match=match):
+        experiment_config_from_dict(obj)
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(obj))
+    assert main(["benchmark", "--config", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and re.search(match, err)
+
+
+class TestConfigKeyCheck:
+    """Every config object goes through io.check_keys."""
+
+    @pytest.mark.parametrize("key", ["schema_version", "generator", "sweep", "repetitions", "seed"])
+    def test_each_required_key(self, tmp_path, capsys, key):
+        obj = tiny_experiment_obj()
+        del obj[key]
+        assert_benchmark_rejects(tmp_path, capsys, obj, f"experiment config: missing key '{key}'")
+
+    @pytest.mark.parametrize(
+        "sweep, match",
+        [
+            (["n_envs", [4]], r"\['sweep'\]: expected an object, got list"),
+            ("n_envs", r"\['sweep'\]: expected an object, got str"),
+            (
+                {"axis": "n_envs", "values": [4], "step": 1},
+                r"\['sweep'\]: unknown keys \['step'\]; allowed: \['axis', 'values'\]",
+            ),
+            ({"axis": "n_envs"}, r"\['sweep'\]: missing key 'values'"),
+            ({"values": [4]}, r"\['sweep'\]: missing key 'axis'"),
+        ],
+        ids=["list", "string", "extra_key", "no_values", "no_axis"],
+    )
+    def test_sweep_shape(self, tmp_path, capsys, sweep, match):
+        assert_benchmark_rejects(tmp_path, capsys, tiny_experiment_obj(sweep=sweep), match)
+
+    @pytest.mark.parametrize("version", [2, "1", None, [1]])
+    def test_wrong_schema_version(self, tmp_path, capsys, version):
+        obj = tiny_experiment_obj(schema_version=version)
+        match = r"\['schema_version'\]: expected one of \[1\], got "
+        assert_benchmark_rejects(tmp_path, capsys, obj, match)
+
+    def test_method_params_error_names_the_method(self, tmp_path, capsys):
+        obj = tiny_experiment_obj(method="transportability", method_params={"resamples": 10})
+        match = r"transportability method_params: unknown keys \['resamples'\]"
+        assert_benchmark_rejects(tmp_path, capsys, obj, match)
+
+    @pytest.mark.parametrize(
+        "given, spec",
+        [
+            (None, KernelSpec()),
+            ({"kind": "linear", "ridge_lambda": 0.01}, KernelSpec(kind="linear", ridge_lambda=0.01)),
+            (KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=2.0)),
+        ],
+        ids=["null", "dict", "instance"],
+    )
+    def test_kernel_spec_forms(self, monkeypatch, given, spec):
+        params = {"treatment_kernel": given, "outcome_kernel": given}
+        config = tiny_experiment(method="kernel_mint", method_params=params)
+        assert config.method_params == {"treatment_kernel": spec, "outcome_kernel": spec}
+        seen = []
+        monkeypatch.setattr(
+            "mechindep.harness.kernel_mint_test",
+            lambda data, t, o, **kwargs: seen.append((t, o)),
+        )
+        run_method("kernel_mint", params, None, seed=0)
+        assert seen == [(spec, spec)]
 
 
 class TestRunBenchmark:

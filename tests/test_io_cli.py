@@ -482,6 +482,99 @@ class TestCli:
         assert main(["benchmark", "--config", str(config), "--output", str(tmp_path / "o.csv")]) == 1
 
 
+def assert_cli_rejects(capsys, argv, message):
+    """``argv`` exits 1 with ``message`` on stderr and nothing on stdout."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err, err
+
+
+# Files holding the byte 0xe4 ("\u00e4" in Latin-1), which is not UTF-8 on its own:
+# a dataset with it in a label past the first 8 KiB (all that the numpy path's
+# header read decodes), one with it in the header, and a config with it in a string.
+LATIN1_LATE = b"env,a,y,x1\n" + b"".join(
+    b"a,%d,%d,%d\n" % (i, i % 3, i % 5) for i in range(3000)
+) + b"\xe4,1,2,3\nb,1,2,3\n"
+LATIN1_HEADER = b"env,\xe4,y,x1\na,1,2,3\nb,1,2,3\n"
+LATIN1_JSON = b'{"schema_version": 1, "generator": "\xe4"}'
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("test", LATIN1_LATE), ("test", LATIN1_HEADER),
+            ("semisynth", LATIN1_LATE), ("semisynth", LATIN1_HEADER),
+            ("simulate", LATIN1_JSON), ("benchmark", LATIN1_JSON),
+        ],
+        ids=["test-late", "test-header", "semisynth-late", "semisynth-header",
+             "simulate", "benchmark"],
+    )
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys, command, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "test": ["test", "--input", str(path), "--no-bootstrap"],
+            "semisynth": ["semisynth", "--covariates", str(path), "--n-confounders", "2",
+                          "--output", out],
+            "simulate": ["simulate", "--config", str(path), "--output", out],
+            "benchmark": ["benchmark", "--config", str(path)],
+        }[command]
+        assert_cli_rejects(capsys, argv, f"{path}: not UTF-8 text: cannot decode byte 0xe4")
+
+    LONG_LABEL = "e" * 200_000  # longer than csv.field_size_limit()
+
+    def test_cell_over_csv_field_limit_names_the_row(self, tmp_path, capsys):
+        # The empty cell sends the file to the Python parser, whose csv.reader
+        # cannot read the label.
+        path = tmp_path / "long.csv"
+        path.write_text(f"env,a,y,x1\na,1,2,3\na,2,,4\n{self.LONG_LABEL},1,2,3\n")
+        message = f"{path}: row 3: field larger than field limit"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            io_module._python_env_table(path, "env", ["a", "y"], None)
+        assert_cli_rejects(capsys, ["test", "--input", str(path), "--no-bootstrap"], message)
+
+    def test_clean_file_with_long_label_loads_through_numpy(self, tmp_path, monkeypatch):
+        def python_parser_ran(*args):
+            raise AssertionError("the Python parser ran")
+
+        path = tmp_path / "long.csv"
+        path.write_text(f"env,a,y,x1\na,1,2,3\n{self.LONG_LABEL},1,2,3\n{self.LONG_LABEL},5,6,8\n")
+        monkeypatch.setattr(io_module, "_python_env_table", python_parser_ran)
+        ds = load_csv_dataset(path)
+        assert ds.env_ids == ("a", self.LONG_LABEL)
+        np.testing.assert_array_equal(ds.blocks[1].Y, [2.0, 6.0])
+
+    def test_header_cell_over_csv_field_limit(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(f"env,a,y,{self.LONG_LABEL}\na,1,2,3\nb,1,2,3\n")
+        message = f"{path}: header row: field larger than field limit"
+        assert_cli_rejects(capsys, ["test", "--input", str(path), "--no-bootstrap"], message)
+
+
+class TestSimulateConfigKeys:
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"schema_version": 1}, ": missing key 'generator'"),
+            ({"generator": "polynomial"}, ": missing key 'schema_version'"),
+            ({"schema_version": 2, "generator": "polynomial"},
+             "['schema_version']: expected one of [1], got 2"),
+            ({"schema_version": 1, "generator": "polynomial", "seed": 3},
+             ": unknown keys ['seed']; allowed: ['generator', 'generator_params', 'schema_version']"),
+        ],
+        ids=["no_generator", "no_schema_version", "wrong_schema_version", "extra_key"],
+    )
+    def test_rejected(self, tmp_path, capsys, obj, message):
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps({"generator_params": {"n_envs": 4, "n_per_env": 30}, **obj}))
+        data = tmp_path / "data.csv"
+        argv = ["simulate", "--config", str(gen), "--output", str(data)]
+        assert_cli_rejects(capsys, argv, f"{gen}{message}")
+        assert not data.exists()
+
+
 class TestCliRunsThroughHarness:
     @pytest.mark.parametrize(
         "flags, method, params, seed",
