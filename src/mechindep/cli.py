@@ -5,7 +5,6 @@ Subcommands:
 * ``simulate``  - emit a dataset CSV from a generator config JSON
 * ``test``      - run one falsification method on a dataset CSV
 * ``benchmark`` - run a falsification-rate sweep from an experiment config JSON
-* ``semisynth`` - build a semi-synthetic dataset CSV from a covariate CSV
 
 Exit codes: 0 success, 1 usage, validation or configuration error, 2 numerical
 failure.
@@ -27,13 +26,11 @@ from .harness import (
     generator_config_from_dict,
     run_benchmark,
     run_method,
-    semi_synthetic_generate,
 )
 from .io import (
     SCHEMA_VERSION,
     check_keys,
     dumps_json,
-    load_covariate_panel,
     load_csv_dataset,
     load_json_config,
     save_csv_dataset,
@@ -161,24 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--threads", type=int, default=1, help="parallel repetitions")
     _output_flag(p_bench)
 
-    p_semi = sub.add_parser(
-        "semisynth", help="build a semi-synthetic dataset from a covariate CSV"
-    )
-    p_semi.add_argument("--covariates", type=Path, required=True, help="covariate CSV")
-    p_semi.add_argument("--env-column", default="env", help="environment column name")
-    p_semi.add_argument("--n-confounders", type=int, default=5)
-    p_semi.add_argument(
-        "--observed", type=int, default=None, help="measured covariates (default: all)"
-    )
-    p_semi.add_argument("--degree", type=int, default=2, help="polynomial degree")
-    p_semi.add_argument(
-        "--confounded",
-        action="store_true",
-        help="leave unexposed confounders in the generating equations",
-    )
-    _seed_flag(p_semi)
-    _output_flag(p_semi, required=True)
-
     return parser
 
 
@@ -194,12 +173,19 @@ def _cmd_simulate(args) -> None:
     obj = check_keys(load_json_config(args.config), kinds, str(args.config),
                      required=("schema_version", "generator"))
     kind = obj["generator"]
-    if kind == "semi_synthetic":
-        raise ValidationError("use the semisynth subcommand for semi-synthetic data")
     config = generator_config_from_dict(kind, obj.get("generator_params", {}))
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    dataset, _ = generate_dataset(kind, config, rng)
+    dataset, truth = generate_dataset(kind, config, rng)
     save_csv_dataset(dataset, args.output)
+    if kind == "semi_synthetic":  # the only record of which columns were hidden
+        summary = {
+            "schema_version": SCHEMA_VERSION,
+            "confounded": truth.confounded,
+            "confounder_columns": list(truth.confounder_columns),
+            "observed_columns": list(truth.observed_columns),
+            "unmeasured_columns": list(truth.unmeasured_columns),
+        }
+        sys.stdout.write(dumps_json(summary))
 
 
 def _cmd_test(args) -> None:
@@ -232,34 +218,10 @@ def _cmd_benchmark(args) -> None:
     _write_or_print(benchmark_rows_to_csv(rows, include_timing=args.timing), args.output)
 
 
-def _cmd_semisynth(args) -> None:
-    panel = load_covariate_panel(args.covariates, env_column=args.env_column)
-    observed = args.observed if args.observed is not None else args.n_confounders
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    dataset, truth = semi_synthetic_generate(
-        panel,
-        n_confounders=args.n_confounders,
-        degree=args.degree,
-        observed_subset_size=observed,
-        confounded=args.confounded,
-        rng=rng,
-    )
-    save_csv_dataset(dataset, args.output)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "confounded": truth.confounded,
-        "confounder_columns": list(truth.confounder_columns),
-        "observed_columns": list(truth.observed_columns),
-        "unmeasured_columns": list(truth.unmeasured_columns),
-    }
-    sys.stdout.write(dumps_json(summary))
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "test": _cmd_test,
     "benchmark": _cmd_benchmark,
-    "semisynth": _cmd_semisynth,
 }
 
 

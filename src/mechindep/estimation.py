@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import MultiEnvDataset, as_float_matrix, as_float_vector
 from .errors import RankDeficientError, ValidationError
@@ -69,7 +68,12 @@ class MechanismEstimates:
 
 def _find_deficient_columns(design: np.ndarray, rank: int) -> tuple[int, ...]:
     # Pivoted QR: the pivots beyond the numerical rank form a column subset
-    # dependent on the preceding ones.
+    # dependent on the preceding ones. scipy.linalg is imported here, on the
+    # error path only: at module top it made `import mechindep, mechindep.cli`
+    # take 0.41-0.53 s and 57 MB max RSS instead of 0.16-0.23 s and 30 MB
+    # (2-vCPU VM), and raised every benchmark workload's peak RSS by ~21 MB.
+    import scipy.linalg
+
     _, _, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
     return tuple(sorted(int(j) for j in piv[rank:]))
 

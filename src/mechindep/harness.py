@@ -340,13 +340,18 @@ def _cell_generator_config(config: ExperimentConfig, value):
     return dataclasses.replace(base, **{axis: value})
 
 
+def _spec_panel(spec: SemiSyntheticSpec) -> CovariatePanel:
+    """The source covariate panel that a semi-synthetic spec names."""
+    return load_covariate_panel(spec.covariates_csv, spec.env_column, spec.covariate_columns)
+
+
 def generate_dataset(
     kind: str, config, rng: np.random.Generator, panel: CovariatePanel | None = None
 ):
     """One draw of generator ``kind``: ``(dataset, ground truth)``.
 
     The package's one generator dispatch; ``semi_synthetic`` draws over
-    ``panel``, the source covariate panel.
+    ``panel``, the source covariate panel, read from the spec when not given.
     """
     if kind == "linear_example":
         return generate_linear_example(config, rng)
@@ -354,10 +359,8 @@ def generate_dataset(
         return generate_polynomial(config, rng)
     if kind != "semi_synthetic":
         raise ValidationError(f"unknown generator {kind!r}; expected one of {sorted(_GENERATORS)}")
-    if panel is None:
-        raise ValidationError("semi_synthetic generator needs a covariate panel")
     return semi_synthetic_generate(
-        panel,
+        _spec_panel(config) if panel is None else panel,
         n_confounders=config.n_confounders,
         degree=config.degree,
         observed_subset_size=config.observed_subset_size,
@@ -401,11 +404,7 @@ def _run_repetition(
     return bool(result.reject)
 
 
-def run_benchmark(
-    config: ExperimentConfig,
-    threads: int = 1,
-    panel: CovariatePanel | None = None,
-) -> list[BenchmarkRow]:
+def run_benchmark(config: ExperimentConfig, threads: int = 1) -> list[BenchmarkRow]:
     """Run the full sweep: ``repetitions`` generate-test cycles per axis value.
 
     Returns one row per axis value, in axis order, with the rejection
@@ -414,11 +413,8 @@ def run_benchmark(
     """
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    if config.generator == "semi_synthetic" and panel is None:
-        spec = config.generator_config
-        panel = load_covariate_panel(
-            spec.covariates_csv, spec.env_column, spec.covariate_columns
-        )
+    # The semi-synthetic panel is read once per run, not once per repetition.
+    panel = _spec_panel(config.generator_config) if config.generator == "semi_synthetic" else None
     rows = []
     for axis_index, value in enumerate(config.sweep_values):
         start = time.perf_counter()

@@ -325,8 +325,9 @@ def check_value(value, kind, context: str):
         ok, expected = is_real(value), "a number"
     elif kind in (str, list):
         ok, expected = isinstance(value, kind), f"a {'string' if kind is str else 'list'}"
-    else:
-        ok, expected = value in kind, f"one of {list(kind)}"
+    else:  # same type as well as equal: `true` and `1.0` are not `1`
+        ok = any(type(value) is type(a) and value == a for a in kind)
+        expected = f"one of {list(kind)}"
     if not ok:
         raise ValidationError(f"{context}: expected {expected}, got {value!r}")
     return value

@@ -29,3 +29,4 @@ def test_demo_runs(tmp_path, demo):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr[-2000:]
+    assert list(tmp_path.iterdir()) == []  # a demo leaves no files behind

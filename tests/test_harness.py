@@ -339,7 +339,8 @@ class TestConfigKeyCheck:
     def test_sweep_shape(self, tmp_path, capsys, sweep, match):
         assert_benchmark_rejects(tmp_path, capsys, tiny_experiment_obj(sweep=sweep), match)
 
-    @pytest.mark.parametrize("version", [2, "1", None, [1]])
+    # A bool or a float equal to 1 is not the integer 1.
+    @pytest.mark.parametrize("version", [2, "1", None, [1], True, 1.0])
     def test_wrong_schema_version(self, tmp_path, capsys, version):
         obj = tiny_experiment_obj(schema_version=version)
         match = r"\['schema_version'\]: expected one of \[1\], got "
@@ -431,13 +432,19 @@ class TestRunBenchmark:
         assert err.value.axis_value == 4
         assert "seed" in str(err.value)
 
-    def test_semi_synthetic_generator_with_panel(self):
+    def test_semi_synthetic_generator_with_panel(self, tmp_path):
+        panel = covariate_panel(n_envs=4, n=60, d=6)
+        lines = ["env," + ",".join(f"c{j}" for j in range(panel.d))]
+        for env, X in panel.blocks:
+            lines += [f"{env}," + ",".join(repr(float(v)) for v in row) for row in X]
+        cov = tmp_path / "cov.csv"
+        cov.write_text("\n".join(lines) + "\n")
         config = experiment_config_from_dict(
             {
                 "schema_version": 1,
                 "generator": "semi_synthetic",
                 "generator_params": {
-                    "covariates_csv": "unused.csv",
+                    "covariates_csv": str(cov),
                     "n_confounders": 4,
                     "degree": 1,
                     "observed_subset_size": 2,
@@ -450,7 +457,7 @@ class TestRunBenchmark:
                 "seed": 21,
             }
         )
-        rows = run_benchmark(config, panel=covariate_panel(n_envs=4, n=60, d=6))
+        rows = run_benchmark(config)
         assert len(rows) == 2
 
     def test_transportability_and_kernel_methods_run(self):

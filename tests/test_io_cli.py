@@ -341,6 +341,16 @@ def write_generator_config(tmp_path, confounded=False):
     return path
 
 
+def write_semi_synthetic_config(tmp_path, covariates, **params):
+    path = tmp_path / "semi.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "generator": "semi_synthetic",
+        "generator_params": {"covariates_csv": str(covariates), **params},
+    }))
+    return path
+
+
 def write_experiment_config(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(
@@ -427,7 +437,7 @@ class TestCli:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_semisynth_pipeline(self, tmp_path, capsys):
+    def test_simulate_semi_synthetic_pipeline(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         cov = tmp_path / "cov.csv"
         lines = ["env," + ",".join(f"c{j}" for j in range(6))]
@@ -435,19 +445,11 @@ class TestCli:
             for _ in range(30):
                 lines.append(f"s{s}," + ",".join(f"{v:.6f}" for v in rng.normal(size=6)))
         cov.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "semi.csv"
-        code = main(
-            [
-                "semisynth",
-                "--covariates", str(cov),
-                "--n-confounders", "4",
-                "--observed", "2",
-                "--confounded",
-                "--degree", "2",
-                "--seed", "9",
-                "--output", str(out),
-            ]
+        gen = write_semi_synthetic_config(
+            tmp_path, cov, n_confounders=4, observed_subset_size=2, confounded=True, degree=2
         )
+        out = tmp_path / "semi.csv"
+        code = main(["simulate", "--config", str(gen), "--seed", "9", "--output", str(out)])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["confounded"] is True
@@ -504,20 +506,20 @@ class TestUnreadableInput:
         "command, data",
         [
             ("test", LATIN1_LATE), ("test", LATIN1_HEADER),
-            ("semisynth", LATIN1_LATE), ("semisynth", LATIN1_HEADER),
+            ("semi_synthetic", LATIN1_LATE), ("semi_synthetic", LATIN1_HEADER),
             ("simulate", LATIN1_JSON), ("benchmark", LATIN1_JSON),
         ],
-        ids=["test-late", "test-header", "semisynth-late", "semisynth-header",
+        ids=["test-late", "test-header", "semi_synthetic-late", "semi_synthetic-header",
              "simulate", "benchmark"],
     )
     def test_non_utf8_file_names_the_file(self, tmp_path, capsys, command, data):
         path = tmp_path / "input"
         path.write_bytes(data)
         out = str(tmp_path / "out.csv")
+        semi = write_semi_synthetic_config(tmp_path, path, n_confounders=2, observed_subset_size=2)
         argv = {
             "test": ["test", "--input", str(path), "--no-bootstrap"],
-            "semisynth": ["semisynth", "--covariates", str(path), "--n-confounders", "2",
-                          "--output", out],
+            "semi_synthetic": ["simulate", "--config", str(semi), "--output", out],
             "simulate": ["simulate", "--config", str(path), "--output", out],
             "benchmark": ["benchmark", "--config", str(path)],
         }[command]
@@ -563,8 +565,14 @@ class TestSimulateConfigKeys:
              "['schema_version']: expected one of [1], got 2"),
             ({"schema_version": 1, "generator": "polynomial", "seed": 3},
              ": unknown keys ['seed']; allowed: ['generator', 'generator_params', 'schema_version']"),
+            # A bool or a float equal to 1 is not the integer 1.
+            ({"schema_version": True, "generator": "polynomial"},
+             "['schema_version']: expected one of [1], got True"),
+            ({"schema_version": 1.0, "generator": "polynomial"},
+             "['schema_version']: expected one of [1], got 1.0"),
         ],
-        ids=["no_generator", "no_schema_version", "wrong_schema_version", "extra_key"],
+        ids=["no_generator", "no_schema_version", "wrong_schema_version", "extra_key",
+             "bool_schema_version", "float_schema_version"],
     )
     def test_rejected(self, tmp_path, capsys, obj, message):
         gen = tmp_path / "gen.json"
@@ -756,7 +764,7 @@ class TestStrictCli:
             ["benchmark", "--config", "e.json", "--seed", "1"],
             ["benchmark", "--config", "e.json", "--alpha", "0.1"],
             ["benchmark", "--config", "e.json", "--no-bootstrap"],
-            ["semisynth", "--covariates", "c.csv", "--output", "o.csv", "--resamples", "5"],
+            ["simulate", "--config", "g.json", "--output", "o.csv", "--resamples", "5"],
             ["test", "--input", "d.csv", "--threads", "2"],
         ],
     )
@@ -840,14 +848,27 @@ class TestRemovedSettings:
         assert main(argv + ["--variant", "full_interaction"]) == 1
         assert "unrecognized arguments: --variant" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "semisynth"])
-    def test_dataset_commands_require_output(self, tmp_path, capsys, command):
-        if command == "simulate":
-            argv = ["simulate", "--config", str(write_generator_config(tmp_path))]
+    def test_semisynth_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        # semi-synthetic data comes from `simulate` with a semi_synthetic config
+        cov = tmp_path / "cov.csv"
+        cov.write_text("env,c1,c2\na,1,2\na,3,5\nb,5,6\nb,7,9\n")
+        out = tmp_path / "o.csv"
+        argv = ["semisynth", "--covariates", str(cov), "--n-confounders", "2", "--output", str(out)]
+        assert main(argv) == 1
+        assert "invalid choice: 'semisynth'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator", ["polynomial", "semi_synthetic"],
+                             ids=["simulate", "simulate-semi_synthetic"])
+    def test_dataset_commands_require_output(self, tmp_path, capsys, generator):
+        if generator == "polynomial":
+            gen = write_generator_config(tmp_path)
         else:
             cov = tmp_path / "cov.csv"
             cov.write_text("env,c1,c2\na,1,2\na,3,5\nb,5,6\nb,7,9\n")
-            argv = ["semisynth", "--covariates", str(cov), "--n-confounders", "2"]
+            gen = write_semi_synthetic_config(tmp_path, cov, n_confounders=2,
+                                              observed_subset_size=2)
+        argv = ["simulate", "--config", str(gen)]
         before = sorted(tmp_path.iterdir())
         assert main(argv) == 1
         out, err = capsys.readouterr()
