@@ -15,8 +15,6 @@ from .baselines import (
 )
 from .dataset import CovariatePanel, EnvironmentBlock, MultiEnvDataset
 from .dgp import (
-    ALPHA_U_ZERO,
-    BETA_U_BETA_AU_ZERO,
     GroundTruth,
     LinearExampleConfig,
     OracleParams,
@@ -25,7 +23,6 @@ from .dgp import (
     generate_polynomial,
     lemma1_closed_form,
     oracle_params_from_env,
-    special_case_closed_form,
 )
 from .errors import (
     BenchmarkError,
@@ -87,8 +84,6 @@ from .special import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_U_ZERO",
-    "BETA_U_BETA_AU_ZERO",
     "BenchmarkError",
     "BenchmarkRow",
     "CovariatePanel",
@@ -141,7 +136,6 @@ __all__ = [
     "run_method",
     "save_csv_dataset",
     "semi_synthetic_generate",
-    "special_case_closed_form",
     "transportability_test",
     "treatment_spec",
 ]

@@ -9,10 +9,9 @@ redrawn uniformly per environment. The polynomial generator produces
 and outcome that are linear in a per-coordinate polynomial basis, and an
 optional additive unmeasured confounder.
 
-For the linear example the population regression coefficients of the
-well-specified working models are available in closed form (confounded case
-and both unconfounded special cases), which gives an exact oracle for the
-estimation stage.
+For the confounded linear example (``alpha_u != 0``) the population
+regression coefficients of the well-specified working models are available
+in closed form, which gives an exact oracle for the estimation stage.
 """
 
 from __future__ import annotations
@@ -301,14 +300,11 @@ def lemma1_closed_form(params: OracleParams) -> tuple[np.ndarray, np.ndarray]:
     """Population working-model coefficients under the confounded linear example.
 
     Returns ``(omega, gamma)`` for the treatment model on ``[1, X]`` and the
-    outcome model on ``[1, X, A, AX, A^2]``. Requires ``alpha_u != 0``; with
-    ``alpha_u == 0`` use :func:`special_case_closed_form`.
+    outcome model on ``[1, X, A, AX, A^2]``. Requires ``alpha_u != 0``: the
+    formula divides by it.
     """
     if params.alpha_u == 0.0:
-        raise ValidationError(
-            "alpha_u must be nonzero here; use special_case_closed_form "
-            "for the alpha_u == 0 branch"
-        )
+        raise ValidationError("alpha_u must be nonzero: the closed form divides by it")
     a0, ax, au = params.alpha0, params.alpha_x, params.alpha_u
     su2 = params.sigma_u**2
     ratio2 = (params.sigma_a / au) ** 2
@@ -326,43 +322,3 @@ def lemma1_closed_form(params: OracleParams) -> tuple[np.ndarray, np.ndarray]:
     omega = np.array([a0 + au * params.mu_u, ax])
     gamma = np.array([*params.beta, 0.0]) + correction
     return omega, gamma
-
-
-ALPHA_U_ZERO = "alphaU_zero"
-BETA_U_BETA_AU_ZERO = "betaU_betaAU_zero"
-
-
-def special_case_closed_form(
-    params: OracleParams, case: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form working-model coefficients for the unconfounded branches.
-
-    ``alphaU_zero``: the unmeasured variable does not enter the treatment;
-    its mean shifts the outcome intercept and treatment main effect.
-    ``betaU_betaAU_zero``: the unmeasured variable does not enter the
-    outcome; its mean shifts the treatment intercept only.
-    """
-    if case == ALPHA_U_ZERO:
-        if params.alpha_u != 0.0:
-            raise ValidationError(f"case {case!r} requires alpha_u == 0")
-        omega = np.array([params.alpha0, params.alpha_x])
-        b0, bx, ba, bax = params.beta
-        gamma = np.array(
-            [
-                b0 + params.beta_u * params.mu_u,
-                bx,
-                ba + params.beta_au * params.mu_u,
-                bax,
-                0.0,
-            ]
-        )
-        return omega, gamma
-    if case == BETA_U_BETA_AU_ZERO:
-        if params.beta_u != 0.0 or params.beta_au != 0.0:
-            raise ValidationError(f"case {case!r} requires beta_u == beta_au == 0")
-        omega = np.array(
-            [params.alpha0 + params.alpha_u * params.mu_u, params.alpha_x]
-        )
-        gamma = np.array([*params.beta, 0.0])
-        return omega, gamma
-    raise ValidationError(f"unknown special case {case!r}")

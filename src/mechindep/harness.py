@@ -74,69 +74,14 @@ class SemiSyntheticTruth:
     unmeasured_columns: tuple[int, ...]
 
 
-def semi_synthetic_generate(
-    covariates: CovariatePanel,
-    n_confounders: int,
-    degree: int,
-    observed_subset_size: int,
-    confounded: bool,
-    rng: np.random.Generator,
-) -> tuple[MultiEnvDataset, SemiSyntheticTruth]:
-    """Generate treatment and outcome over real covariates.
-
-    Covariates are standardized (pooled), ``n_confounders`` columns are drawn
-    uniformly without replacement as the true parents of treatment and
-    outcome, and (A, Y) follow the polynomial coefficient scheme over those
-    columns, with both intercepts redrawn per environment and noise standard
-    deviation 1/2. Only the first ``observed_subset_size`` of the drawn
-    columns are exposed as measured covariates. With ``confounded=False`` the
-    unexposed columns are removed from the generating equations as well, so
-    no unmeasured confounders remain.
-    """
-    if n_confounders < 1:
-        raise ValidationError(f"need n_confounders >= 1, got {n_confounders}")
-    if not 1 <= observed_subset_size <= n_confounders:
-        raise ValidationError(
-            f"observed_subset_size must lie in [1, {n_confounders}], "
-            f"got {observed_subset_size}"
-        )
-    if covariates.d < n_confounders:
-        raise ValidationError(
-            f"covariate panel has {covariates.d} columns, need >= {n_confounders}"
-        )
-    if degree < 1:
-        raise ValidationError(f"need degree >= 1, got {degree}")
-    panel = _standardize_panel(covariates)
-    chosen = rng.choice(covariates.d, size=n_confounders, replace=False)
-    observed = tuple(int(j) for j in chosen[:observed_subset_size])
-    unmeasured = tuple(int(j) for j in chosen[observed_subset_size:])
-    generating = list(chosen) if confounded else list(observed)
-    d_gen = len(generating)
-    slope_alpha = rng.choice(np.array([-1.0, 1.0]), size=d_gen * degree)
-    slope_beta = np.ones(d_gen * degree)
-    power_spec = treatment_spec(degree=degree, include_intercept=False)
-    blocks = []
-    for env_id, X in panel.blocks:
-        n = X.shape[0]
-        alpha0 = float(rng.normal(0.0, 1.0))
-        beta0 = float(rng.normal(0.0, 1.0))
-        powers = build_treatment_features(X[:, generating], power_spec)
-        A = alpha0 + powers @ slope_alpha + rng.normal(0.0, _NOISE_STD, size=n)
-        Y = beta0 + powers @ slope_beta + A + rng.normal(0.0, _NOISE_STD, size=n)
-        blocks.append(EnvironmentBlock(env_id, X[:, list(observed)], A, Y))
-    truth = SemiSyntheticTruth(
-        confounded=bool(confounded) and bool(unmeasured),
-        varied=frozenset({"alpha0", "beta0"}),
-        confounder_columns=tuple(int(j) for j in chosen),
-        observed_columns=observed,
-        unmeasured_columns=unmeasured if confounded else (),
-    )
-    return MultiEnvDataset(tuple(blocks)), truth
-
-
 @dataclass(frozen=True)
 class SemiSyntheticSpec:
-    """Generator parameters of the semi-synthetic pipeline (JSON schema)."""
+    """Generator parameters of the semi-synthetic pipeline (JSON schema).
+
+    Checked when built: ``n_confounders >= 1``, ``degree >= 1`` and
+    ``1 <= observed_subset_size <= n_confounders``. That the covariate panel
+    has ``n_confounders`` columns is checked when data is drawn.
+    """
 
     covariates_csv: str
     env_column: str = "env"
@@ -149,17 +94,81 @@ class SemiSyntheticSpec:
     def __post_init__(self):
         if self.covariate_columns is not None:
             object.__setattr__(self, "covariate_columns", tuple(self.covariate_columns))
+        if self.n_confounders < 1:
+            raise ValidationError(f"need n_confounders >= 1, got {self.n_confounders}")
+        if not 1 <= self.observed_subset_size <= self.n_confounders:
+            raise ValidationError(
+                f"observed_subset_size must lie in [1, {self.n_confounders}], "
+                f"got {self.observed_subset_size}"
+            )
+        if self.degree < 1:
+            raise ValidationError(f"need degree >= 1, got {self.degree}")
+
+
+def semi_synthetic_generate(
+    spec: SemiSyntheticSpec, rng: np.random.Generator, panel: CovariatePanel | None = None
+) -> tuple[MultiEnvDataset, SemiSyntheticTruth]:
+    """Generate treatment and outcome over real covariates.
+
+    ``panel`` is the source covariate panel, read from the spec's
+    ``covariates_csv`` when not given. Covariates are standardized (pooled),
+    ``n_confounders`` columns are drawn uniformly without replacement as the
+    true parents of treatment and outcome, and (A, Y) follow the polynomial
+    coefficient scheme over those columns, with both intercepts redrawn per
+    environment and noise standard deviation 1/2. Only the first
+    ``observed_subset_size`` of the drawn columns are exposed as measured
+    covariates. With ``confounded=False`` the unexposed columns are removed
+    from the generating equations as well, so no unmeasured confounders
+    remain.
+    """
+    if panel is None:
+        panel = load_covariate_panel(spec.covariates_csv, spec.env_column, spec.covariate_columns)
+    n_confounders, degree = spec.n_confounders, spec.degree
+    if panel.d < n_confounders:
+        raise ValidationError(f"covariate panel has {panel.d} columns, need >= {n_confounders}")
+    chosen = rng.choice(panel.d, size=n_confounders, replace=False)
+    observed = tuple(int(j) for j in chosen[:spec.observed_subset_size])
+    unmeasured = tuple(int(j) for j in chosen[spec.observed_subset_size:])
+    generating = list(chosen) if spec.confounded else list(observed)
+    d_gen = len(generating)
+    slope_alpha = rng.choice(np.array([-1.0, 1.0]), size=d_gen * degree)
+    slope_beta = np.ones(d_gen * degree)
+    power_spec = treatment_spec(degree=degree, include_intercept=False)
+    blocks = []
+    for env_id, X in _standardize_panel(panel).blocks:
+        n = X.shape[0]
+        alpha0 = float(rng.normal(0.0, 1.0))
+        beta0 = float(rng.normal(0.0, 1.0))
+        powers = build_treatment_features(X[:, generating], power_spec)
+        A = alpha0 + powers @ slope_alpha + rng.normal(0.0, _NOISE_STD, size=n)
+        Y = beta0 + powers @ slope_beta + A + rng.normal(0.0, _NOISE_STD, size=n)
+        blocks.append(EnvironmentBlock(env_id, X[:, list(observed)], A, Y))
+    truth = SemiSyntheticTruth(
+        confounded=bool(spec.confounded) and bool(unmeasured),
+        varied=frozenset({"alpha0", "beta0"}),
+        confounder_columns=tuple(int(j) for j in chosen),
+        observed_columns=observed,
+        unmeasured_columns=unmeasured if spec.confounded else (),
+    )
+    return MultiEnvDataset(tuple(blocks)), truth
 
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-# Each generator's config class and the axes a sweep may vary.
+# Each generator's config class, its draw function and the axes a sweep may vary.
 _GENERATORS = {
-    "linear_example": (LinearExampleConfig, ("n_envs", "n_per_env", "varying_parameter")),
-    "polynomial": (PolynomialConfig, ("n_envs", "n_per_env", "n_covariates", "degree")),
-    "semi_synthetic": (SemiSyntheticSpec, ("observed_subset_size", "degree", "n_confounders")),
+    "linear_example": (
+        LinearExampleConfig, generate_linear_example, ("n_envs", "n_per_env", "varying_parameter"),
+    ),
+    "polynomial": (
+        PolynomialConfig, generate_polynomial, ("n_envs", "n_per_env", "n_covariates", "degree"),
+    ),
+    "semi_synthetic": (
+        SemiSyntheticSpec, semi_synthetic_generate,
+        ("observed_subset_size", "degree", "n_confounders"),
+    ),
 }
 
 
@@ -186,7 +195,11 @@ def _checked_method_params(method: str, params: dict) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark sweep: generator, method, a single axis, repetitions, seed."""
+    """One benchmark sweep: generator, method, a single axis, repetitions, seed.
+
+    ``cells`` holds one generator config per sweep value, ``generator_config``
+    with the axis set to that value, each checked when the config is built.
+    """
 
     generator: str
     generator_config: object  # LinearExampleConfig | PolynomialConfig | SemiSyntheticSpec
@@ -196,12 +209,13 @@ class ExperimentConfig:
     sweep_values: tuple
     repetitions: int
     seed: int
+    cells: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_value(self.generator, tuple(_GENERATORS), "generator")
         method_params = _checked_method_params(self.method, self.method_params)
         axis = self.sweep_axis
-        check_value(axis, _GENERATORS[self.generator][1], f"sweep axis for {self.generator}")
+        check_value(axis, _GENERATORS[self.generator][2], f"sweep axis for {self.generator}")
         values = tuple(self.sweep_values)
         if not values:
             raise ValidationError("sweep values must be non-empty")
@@ -214,9 +228,17 @@ class ExperimentConfig:
         check_value(self.seed, int, "seed")
         if self.repetitions < 1:
             raise ValidationError(f"repetitions must be >= 1, got {self.repetitions}")
+        cells = []
+        for v in values:
+            change = {"varying": frozenset({v})} if axis == "varying_parameter" else {axis: v}
+            try:
+                cells.append(dataclasses.replace(self.generator_config, **change))
+            except ValidationError as exc:
+                raise ValidationError(f"sweep value {axis}={v!r}: {exc}") from None
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "method_params", method_params)
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "cells", tuple(cells))
 
 
 # An experiment config's keys, with the kind of each value; the values of
@@ -332,19 +354,6 @@ def run_method(
     )
 
 
-def _cell_generator_config(config: ExperimentConfig, value):
-    base = config.generator_config
-    axis = config.sweep_axis
-    if axis == "varying_parameter":
-        return dataclasses.replace(base, varying=frozenset({value}))
-    return dataclasses.replace(base, **{axis: value})
-
-
-def _spec_panel(spec: SemiSyntheticSpec) -> CovariatePanel:
-    """The source covariate panel that a semi-synthetic spec names."""
-    return load_covariate_panel(spec.covariates_csv, spec.env_column, spec.covariate_columns)
-
-
 def generate_dataset(
     kind: str, config, rng: np.random.Generator, panel: CovariatePanel | None = None
 ):
@@ -353,20 +362,8 @@ def generate_dataset(
     The package's one generator dispatch; ``semi_synthetic`` draws over
     ``panel``, the source covariate panel, read from the spec when not given.
     """
-    if kind == "linear_example":
-        return generate_linear_example(config, rng)
-    if kind == "polynomial":
-        return generate_polynomial(config, rng)
-    if kind != "semi_synthetic":
-        raise ValidationError(f"unknown generator {kind!r}; expected one of {sorted(_GENERATORS)}")
-    return semi_synthetic_generate(
-        _spec_panel(config) if panel is None else panel,
-        n_confounders=config.n_confounders,
-        degree=config.degree,
-        observed_subset_size=config.observed_subset_size,
-        confounded=config.confounded,
-        rng=rng,
-    )
+    generate = _GENERATORS[kind][1]
+    return generate(config, rng) if panel is None else generate(config, rng, panel)
 
 
 def repetition_seed_sequence(seed: int, axis_index: int, repetition: int):
@@ -375,23 +372,16 @@ def repetition_seed_sequence(seed: int, axis_index: int, repetition: int):
 
 
 def _run_repetition(
-    config: ExperimentConfig,
-    axis_index: int,
-    value,
-    repetition: int,
-    panel: CovariatePanel | None,
+    config: ExperimentConfig, axis_index: int, repetition: int, panel: CovariatePanel | None
 ) -> bool:
     root = repetition_seed_sequence(config.seed, axis_index, repetition)
     gen_ss, test_ss = root.spawn(2)
     test_seed = int(test_ss.generate_state(1, dtype=np.uint64)[0])
+    value, cell = config.sweep_values[axis_index], config.cells[axis_index]
     try:
-        gen_config = _cell_generator_config(config, value)
-        dataset, _ = generate_dataset(
-            config.generator, gen_config, np.random.default_rng(gen_ss), panel
-        )
+        dataset, _ = generate_dataset(config.generator, cell, np.random.default_rng(gen_ss), panel)
         result = run_method(
-            config.method, config.method_params, dataset, test_seed,
-            config.generator, config.generator_config,
+            config.method, config.method_params, dataset, test_seed, config.generator, cell
         )
     except Exception as exc:
         raise BenchmarkError(
@@ -414,14 +404,18 @@ def run_benchmark(config: ExperimentConfig, threads: int = 1) -> list[BenchmarkR
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     # The semi-synthetic panel is read once per run, not once per repetition.
-    panel = _spec_panel(config.generator_config) if config.generator == "semi_synthetic" else None
+    spec = config.generator_config
+    panel = (
+        load_covariate_panel(spec.covariates_csv, spec.env_column, spec.covariate_columns)
+        if config.generator == "semi_synthetic" else None
+    )
     rows = []
     for axis_index, value in enumerate(config.sweep_values):
         start = time.perf_counter()
         reps = range(config.repetitions)
 
-        def one(r, _value=value, _i=axis_index):
-            return _run_repetition(config, _i, _value, r, panel)
+        def one(r, _i=axis_index):
+            return _run_repetition(config, _i, r, panel)
 
         if threads == 1:
             rejects = [one(r) for r in reps]

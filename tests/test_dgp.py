@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from mechindep import (
-    ALPHA_U_ZERO,
-    BETA_U_BETA_AU_ZERO,
     LinearExampleConfig,
     OracleParams,
     PolynomialConfig,
@@ -17,7 +15,6 @@ from mechindep import (
     lemma1_closed_form,
     oracle_params_from_env,
     outcome_spec,
-    special_case_closed_form,
     treatment_spec,
 )
 
@@ -180,62 +177,6 @@ class TestLemma1Oracle:
             last_entries.append(abs(gamma[-1]))
         assert all(a >= b for a, b in zip(last_entries, last_entries[1:]))
         assert last_entries[-1] < 0.01
-
-
-class TestSpecialCaseOracle:
-    def test_alpha_u_zero_substitution(self):
-        params = OracleParams(
-            alpha0=0.3,
-            alpha_x=0.7,
-            alpha_u=0.0,
-            mu_u=3.0,
-            sigma_u=1.0,
-            sigma_a=1.0,
-            beta=(1.0, 1.0, 1.0, 1.0),
-            beta_u=2.0,
-            beta_au=0.0,
-        )
-        omega, gamma = special_case_closed_form(params, ALPHA_U_ZERO)
-        np.testing.assert_allclose(omega, [0.3, 0.7], atol=1e-15)
-        np.testing.assert_allclose(gamma, [7.0, 1.0, 1.0, 1.0, 0.0], atol=1e-15)
-
-    def test_fully_unconfounded_branches_agree(self):
-        params = dataclasses.replace(
-            DEFAULT_ORACLE, alpha_u=0.0, beta_u=0.0, beta_au=0.0
-        )
-        oa, ga = special_case_closed_form(params, ALPHA_U_ZERO)
-        ob, gb = special_case_closed_form(params, BETA_U_BETA_AU_ZERO)
-        np.testing.assert_allclose(oa, ob)
-        np.testing.assert_allclose(ga, gb)
-        np.testing.assert_allclose(oa, [params.alpha0, params.alpha_x])
-        np.testing.assert_allclose(ga, [*params.beta, 0.0])
-
-    def test_case_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            special_case_closed_form(DEFAULT_ORACLE, ALPHA_U_ZERO)
-        with pytest.raises(ValidationError):
-            special_case_closed_form(DEFAULT_ORACLE, BETA_U_BETA_AU_ZERO)
-        with pytest.raises(ValidationError):
-            special_case_closed_form(DEFAULT_ORACLE, "bogus")
-
-    def test_beta_side_zero_monte_carlo(self):
-        config = dataclasses.replace(
-            LinearExampleConfig(n_envs=2, n_per_env=500_000),
-            alpha_u=0.25,
-            beta_u=0.0,
-            beta_au=0.0,
-        )
-        ds, truth = generate_linear_example(config, np.random.default_rng(31))
-        est = fit_mechanisms(
-            ds, treatment_spec(1), outcome_spec(1, interactions=True, square=True)
-        )
-        for s in range(2):
-            omega, gamma = special_case_closed_form(
-                oracle_params_from_env(config, truth.env_params[s]),
-                BETA_U_BETA_AU_ZERO,
-            )
-            assert np.linalg.norm(est.omegas[s] - omega) <= 0.02 * np.linalg.norm(omega)
-            assert np.linalg.norm(est.gammas[s] - gamma) <= 0.02 * np.linalg.norm(gamma)
 
 
 class TestOracleLevelSelectivity:

@@ -11,6 +11,9 @@ import mechindep
 from mechindep import ValidationError, combine_fisher, combine_tippett
 
 DELETED_NAMES = {
+    "ALPHA_U_ZERO",
+    "BETA_U_BETA_AU_ZERO",
+    "special_case_closed_form",
     "CsvSchema",
     "FULL_INTERACTION",
     "INTERCEPT_SHIFT",
@@ -50,6 +53,8 @@ def test_deleted_parameters_stay_deleted():
     assert "strength" not in inspect.signature(mechindep.LinearExampleConfig.confounded).parameters
     semi = inspect.signature(mechindep.semi_synthetic_generate).parameters
     assert not {"noise_std", "resample_beta_intercept"} & set(semi)
+    # The draw reads these from its SemiSyntheticSpec.
+    assert not {"n_confounders", "degree", "observed_subset_size", "confounded"} & set(semi)
     assert "panel" not in inspect.signature(mechindep.run_benchmark).parameters
 
 

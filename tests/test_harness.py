@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mechindep import (
     KernelSpec,
     LinearExampleConfig,
     PolynomialConfig,
+    SemiSyntheticSpec,
     ValidationError,
     benchmark_rows_to_csv,
     experiment_config_from_dict,
@@ -19,7 +21,7 @@ from mechindep import (
     semi_synthetic_generate,
 )
 from mechindep.cli import main
-from mechindep.harness import ExperimentConfig, _standardize_panel, repetition_seed_sequence
+from mechindep.harness import _standardize_panel, repetition_seed_sequence
 
 
 def simple_panel():
@@ -66,19 +68,22 @@ def covariate_panel(n_envs=3, n=50, d=8, seed=0):
     )
 
 
+def semi_spec(**params):
+    """A semi-synthetic spec for draws over a panel passed in; its CSV is never read."""
+    return SemiSyntheticSpec("unread.csv", **params)
+
+
 class TestSemiSyntheticGenerate:
     def test_all_observed_is_unconfounded(self):
-        ds, truth = semi_synthetic_generate(
-            covariate_panel(), 5, 2, 5, True, np.random.default_rng(1)
-        )
+        spec = semi_spec(n_confounders=5, degree=2, observed_subset_size=5, confounded=True)
+        ds, truth = semi_synthetic_generate(spec, np.random.default_rng(1), covariate_panel())
         assert truth.confounded is False
         assert truth.unmeasured_columns == ()
         assert ds.d == 5
 
     def test_partial_observation_bookkeeping(self):
-        _, truth = semi_synthetic_generate(
-            covariate_panel(), 5, 2, 1, True, np.random.default_rng(2)
-        )
+        spec = semi_spec(n_confounders=5, degree=2, observed_subset_size=1, confounded=True)
+        _, truth = semi_synthetic_generate(spec, np.random.default_rng(2), covariate_panel())
         assert truth.confounded is True
         assert len(truth.unmeasured_columns) == 4
         assert len(truth.observed_columns) == 1
@@ -87,30 +92,42 @@ class TestSemiSyntheticGenerate:
         )
 
     def test_unconfounded_flag_excludes_unobserved_from_equations(self):
-        ds, truth = semi_synthetic_generate(
-            covariate_panel(), 5, 1, 2, False, np.random.default_rng(3)
-        )
+        spec = semi_spec(n_confounders=5, degree=1, observed_subset_size=2, confounded=False)
+        ds, truth = semi_synthetic_generate(spec, np.random.default_rng(3), covariate_panel())
         assert truth.confounded is False
         assert truth.unmeasured_columns == ()
         assert ds.d == 2
 
     def test_same_seed_same_subset(self):
         panel = covariate_panel()
-        _, t1 = semi_synthetic_generate(panel, 5, 2, 3, True, np.random.default_rng(9))
-        _, t2 = semi_synthetic_generate(panel, 5, 2, 3, True, np.random.default_rng(9))
+        spec = semi_spec(n_confounders=5, degree=2, observed_subset_size=3, confounded=True)
+        _, t1 = semi_synthetic_generate(spec, np.random.default_rng(9), panel)
+        _, t2 = semi_synthetic_generate(spec, np.random.default_rng(9), panel)
         assert t1.confounder_columns == t2.confounder_columns
 
     def test_insufficient_columns_rejected(self):
-        with pytest.raises(ValidationError):
-            semi_synthetic_generate(
-                covariate_panel(d=3), 5, 2, 2, True, np.random.default_rng(0)
-            )
+        # The one check that needs the panel: it stays with the draw.
+        spec = semi_spec(n_confounders=5, degree=2, observed_subset_size=2, confounded=True)
+        with pytest.raises(ValidationError, match="covariate panel has 3 columns, need >= 5"):
+            semi_synthetic_generate(spec, np.random.default_rng(0), covariate_panel(d=3))
 
     def test_observed_subset_bounds(self):
         with pytest.raises(ValidationError):
-            semi_synthetic_generate(
-                covariate_panel(), 5, 2, 6, True, np.random.default_rng(0)
-            )
+            semi_spec(n_confounders=5, degree=2, observed_subset_size=6, confounded=True)
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"n_confounders": 0, "observed_subset_size": 1}, r"need n_confounders >= 1, got 0"),
+            ({"observed_subset_size": 0}, r"observed_subset_size must lie in \[1, 5\], got 0"),
+            ({"n_confounders": 3}, r"observed_subset_size must lie in \[1, 3\], got 5"),
+            ({"degree": 0}, r"need degree >= 1, got 0"),
+        ],
+        ids=["n_confounders", "observed_zero", "observed_above", "degree"],
+    )
+    def test_spec_checks_itself(self, params, match):
+        with pytest.raises(ValidationError, match=match):
+            semi_spec(**params)
 
 
 def tiny_experiment_obj(method="mint", generator="polynomial", **overrides):
@@ -303,7 +320,8 @@ class TestExperimentConfig:
 
 
 def assert_benchmark_rejects(tmp_path, capsys, obj, match):
-    """``obj`` fails to parse with ``match``, and the CLI exits 1 with nothing on stdout."""
+    """``obj`` fails to parse with ``match``, and the CLI exits 1 with nothing on
+    stdout; returns the CLI's stderr."""
     with pytest.raises(ValidationError, match=match):
         experiment_config_from_dict(obj)
     config = tmp_path / "exp.json"
@@ -311,6 +329,7 @@ def assert_benchmark_rejects(tmp_path, capsys, obj, match):
     assert main(["benchmark", "--config", str(config)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and re.search(match, err)
+    return err
 
 
 class TestConfigKeyCheck:
@@ -373,6 +392,60 @@ class TestConfigKeyCheck:
         assert seen == [(spec, spec)]
 
 
+def write_covariates(path, panel):
+    lines = ["env," + ",".join(f"c{j}" for j in range(panel.d))]
+    for env, X in panel.blocks:
+        lines += [f"{env}," + ",".join(repr(float(v)) for v in row) for row in X]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestSweepCells:
+    """Each sweep value's generator config is built and checked at parse time."""
+
+    def test_cells_set_the_axis(self):
+        config = tiny_experiment()
+        assert config.cells == tuple(
+            dataclasses.replace(config.generator_config, n_envs=v) for v in (4, 6)
+        )
+        linear = tiny_experiment(
+            generator="linear_example", generator_params={"n_envs": 4, "n_per_env": 30},
+            sweep={"axis": "varying_parameter", "values": ["alpha0", "beta_a"]},
+        )
+        assert [cell.varying for cell in linear.cells] == [{"alpha0"}, {"beta_a"}]
+
+    def test_bad_cell_fails_before_any_repetition(self, tmp_path, capsys):
+        obj = tiny_experiment_obj(sweep={"axis": "n_envs", "values": [5, 1]})
+        match = r"sweep value n_envs=1: need at least 2 environments, got 1"
+        err = assert_benchmark_rejects(tmp_path, capsys, obj, match)
+        assert "repetition failed" not in err
+
+    def test_bad_semi_synthetic_cell_fails_before_any_repetition(self, tmp_path, capsys):
+        cov = write_covariates(tmp_path / "cov.csv", covariate_panel(n_envs=3, n=40, d=6))
+        obj = tiny_experiment_obj(
+            generator="semi_synthetic", generator_params={"covariates_csv": str(cov)},
+            method_params={"resamples": 20},
+            sweep={"axis": "n_confounders", "values": [5, 3]}, repetitions=1,
+        )
+        match = r"sweep value n_confounders=3: observed_subset_size must lie in \[1, 3\], got 5"
+        err = assert_benchmark_rejects(tmp_path, capsys, obj, match)
+        assert "repetition failed" not in err
+
+    def test_default_working_models_follow_the_cell_degree(self, monkeypatch):
+        # Without feature_degree, each cell is fitted at its own degree, not
+        # at the degree of generator_params.
+        seen = []
+
+        def record(dataset, psi, phi, **kwargs):
+            seen.append((psi.degree, phi.degree))
+            return types.SimpleNamespace(reject=False)
+
+        monkeypatch.setattr("mechindep.harness.mint_test", record)
+        config = tiny_experiment(sweep={"axis": "degree", "values": [1, 3]}, repetitions=2)
+        run_benchmark(config)
+        assert seen == [(1, 1), (1, 1), (3, 3), (3, 3)]
+
+
 class TestRunBenchmark:
     def test_single_repetition_boundary(self):
         config = tiny_experiment(repetitions=1)
@@ -433,12 +506,7 @@ class TestRunBenchmark:
         assert "seed" in str(err.value)
 
     def test_semi_synthetic_generator_with_panel(self, tmp_path):
-        panel = covariate_panel(n_envs=4, n=60, d=6)
-        lines = ["env," + ",".join(f"c{j}" for j in range(panel.d))]
-        for env, X in panel.blocks:
-            lines += [f"{env}," + ",".join(repr(float(v)) for v in row) for row in X]
-        cov = tmp_path / "cov.csv"
-        cov.write_text("\n".join(lines) + "\n")
+        cov = write_covariates(tmp_path / "cov.csv", covariate_panel(n_envs=4, n=60, d=6))
         config = experiment_config_from_dict(
             {
                 "schema_version": 1,

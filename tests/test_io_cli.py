@@ -582,6 +582,15 @@ class TestSimulateConfigKeys:
         assert_cli_rejects(capsys, argv, f"{gen}{message}")
         assert not data.exists()
 
+    def test_bad_semi_synthetic_spec_fails_before_the_panel_is_read(self, tmp_path, capsys):
+        # observed_subset_size defaults to 5: the spec error, not the missing file.
+        missing = tmp_path / "missing.csv"
+        gen = write_semi_synthetic_config(tmp_path, missing, n_confounders=3)
+        data = tmp_path / "data.csv"
+        argv = ["simulate", "--config", str(gen), "--output", str(data)]
+        assert_cli_rejects(capsys, argv, "observed_subset_size must lie in [1, 3], got 5")
+        assert not data.exists()
+
 
 class TestCliRunsThroughHarness:
     @pytest.mark.parametrize(
