@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -53,8 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {seed}")
+    return seed
+
+
 def _seed_flag(parser: argparse.ArgumentParser, default=0) -> None:
-    parser.add_argument("--seed", type=int, default=default, help="root random seed")
+    parser.add_argument("--seed", type=_seed, default=default, help="root random seed")
 
 
 def _output_flag(parser: argparse.ArgumentParser, required=False) -> None:
@@ -178,14 +189,7 @@ def _cmd_simulate(args) -> None:
     dataset, truth = generate_dataset(kind, config, rng)
     save_csv_dataset(dataset, args.output)
     if kind == "semi_synthetic":  # the only record of which columns were hidden
-        summary = {
-            "schema_version": SCHEMA_VERSION,
-            "confounded": truth.confounded,
-            "confounder_columns": list(truth.confounder_columns),
-            "observed_columns": list(truth.observed_columns),
-            "unmeasured_columns": list(truth.unmeasured_columns),
-        }
-        sys.stdout.write(dumps_json(summary))
+        sys.stdout.write(dumps_json({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(truth)}))
 
 
 def _cmd_test(args) -> None:

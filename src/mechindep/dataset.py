@@ -176,7 +176,3 @@ class CovariatePanel:
     @property
     def d(self) -> int:
         return self.blocks[0][1].shape[1]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(X.shape[0] for _, X in self.blocks)

@@ -41,6 +41,13 @@ VARYING_PARAMETER_NAMES = (
     "mu_u",
 )
 
+# The linear example's reference setting of the varying parameters other than
+# the confounder path coefficients, which are config fields.
+_LINEAR_REFERENCE = {
+    "alpha0": 0.5, "alpha_x": 1.0 / 3.0, "beta0": 0.5, "beta_x": 1.0 / 3.0,
+    "beta_a": 0.5, "beta_ax": 1.0 / 3.0, "mu_x": 1.0, "mu_u": 1.0,
+}
+
 # Fixed constants of the linear example: covariate and confounder standard
 # deviation, noise variance of treatment and outcome, the range a varied
 # parameter is redrawn from, and the confounder path coefficient.
@@ -64,7 +71,6 @@ class GroundTruth:
     score falsification rates without re-deriving the truth."""
 
     confounded: bool
-    varied: frozenset[str]
     env_params: tuple[dict, ...] = ()
 
 
@@ -72,12 +78,12 @@ class GroundTruth:
 class LinearExampleConfig:
     """Parameterization of the linear-example generator.
 
-    Defaults reproduce the reference setting: treatment coefficients
-    ``[1/2, 1/3]``, outcome coefficients ``[1/2, 1/3, 1/2, 1/3]`` and unit
-    covariate and confounder means. The covariate and confounder have unit
-    variance and both noise variances are ``1/8``; these are fixed. The
-    confounder path coefficients (``alpha_u``, ``beta_u``, ``beta_au``) are
-    ``1/4`` when confounding is on and 0 otherwise; use :meth:`confounded`.
+    The reference setting is fixed: treatment coefficients ``[1/2, 1/3]``,
+    outcome coefficients ``[1/2, 1/3, 1/2, 1/3]``, unit covariate and
+    confounder means, unit covariate and confounder variance, and both noise
+    variances ``1/8``. The confounder path coefficients (``alpha_u``,
+    ``beta_u``, ``beta_au``) are ``1/4`` when confounding is on and 0
+    otherwise; use :meth:`confounded`.
 
     Every name in ``varying`` is redrawn per environment, uniformly from
     [0.1, 3.0].
@@ -85,17 +91,9 @@ class LinearExampleConfig:
 
     n_envs: int
     n_per_env: int
-    alpha0: float = 0.5
-    alpha_x: float = 1.0 / 3.0
-    beta0: float = 0.5
-    beta_x: float = 1.0 / 3.0
-    beta_a: float = 0.5
-    beta_ax: float = 1.0 / 3.0
     alpha_u: float = 0.0
     beta_u: float = 0.0
     beta_au: float = 0.0
-    mu_x: float = 1.0
-    mu_u: float = 1.0
     varying: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
@@ -133,7 +131,8 @@ def generate_linear_example(
     order), then the covariate, the unmeasured variable, and the two noise
     vectors, in that order, so output is reproducible from the stream state.
     """
-    base = {name: getattr(config, name) for name in VARYING_PARAMETER_NAMES}
+    base = dict(_LINEAR_REFERENCE, alpha_u=config.alpha_u, beta_u=config.beta_u,
+                beta_au=config.beta_au)
     lo, hi = _VARYING_RANGE
     blocks = []
     env_params = []
@@ -157,12 +156,8 @@ def generate_linear_example(
         )
         blocks.append(EnvironmentBlock(f"env{s}", X[:, None], A, Y))
         env_params.append(params)
-    truth = GroundTruth(
-        confounded=all(_is_confounded(p) for p in env_params),
-        varied=config.varying,
-        env_params=tuple(env_params),
-    )
-    return MultiEnvDataset(tuple(blocks)), truth
+    confounded = all(_is_confounded(p) for p in env_params)
+    return MultiEnvDataset(tuple(blocks)), GroundTruth(confounded, tuple(env_params))
 
 
 @dataclass(frozen=True)
@@ -242,17 +237,7 @@ def generate_polynomial(
             Y = Y + U
         blocks.append(EnvironmentBlock(f"env{s}", X, A, Y))
         env_params.append(record)
-    varied = {"alpha0", "mu_x"}
-    if config.resample_beta_intercept:
-        varied.add("beta0")
-    if config.confounded:
-        varied.add("mu_u")
-    truth = GroundTruth(
-        confounded=config.confounded,
-        varied=frozenset(varied),
-        env_params=tuple(env_params),
-    )
-    return MultiEnvDataset(tuple(blocks)), truth
+    return MultiEnvDataset(tuple(blocks)), GroundTruth(config.confounded, tuple(env_params))
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,6 @@ class SemiSyntheticTruth:
     """Ground truth of one semi-synthetic draw."""
 
     confounded: bool
-    varied: frozenset[str]
     confounder_columns: tuple[int, ...]  # columns of the source panel
     observed_columns: tuple[int, ...]
     unmeasured_columns: tuple[int, ...]
@@ -145,7 +144,6 @@ def semi_synthetic_generate(
         blocks.append(EnvironmentBlock(env_id, X[:, list(observed)], A, Y))
     truth = SemiSyntheticTruth(
         confounded=bool(spec.confounded) and bool(unmeasured),
-        varied=frozenset({"alpha0", "beta0"}),
         confounder_columns=tuple(int(j) for j in chosen),
         observed_columns=observed,
         unmeasured_columns=unmeasured if spec.confounded else (),
@@ -228,6 +226,8 @@ class ExperimentConfig:
         check_value(self.seed, int, "seed")
         if self.repetitions < 1:
             raise ValidationError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         cells = []
         for v in values:
             change = {"varying": frozenset({v})} if axis == "varying_parameter" else {axis: v}

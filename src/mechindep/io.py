@@ -375,10 +375,11 @@ def check_keys(obj, kinds: dict, context: str, required=()) -> dict:
 
 
 def dataclass_from_dict(cls, params: dict, context: str):
-    """A config dataclass from JSON data; unknown keys and mistyped fields are errors."""
+    """A config dataclass from JSON data; every error names ``context``."""
+    fields = check_keys(params, typing.get_type_hints(cls), context)
     try:
-        return cls(**check_keys(params, typing.get_type_hints(cls), context))
-    except TypeError as exc:
+        return cls(**fields)
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{context}: {exc}") from None
 
 

@@ -202,8 +202,6 @@ def kernel_statistic(
     statistic built from least-squares coefficients on raw ``X`` and
     ``[X, A]`` designs.
     """
-    if dataset.n_envs < 2:
-        raise ValidationError("need at least 2 environments")
     Gw, Gg = _parameter_grams(dataset, k_spec, h_spec)
     return float(_statistic_from_grams(Gw, _double_center(Gg)))
 

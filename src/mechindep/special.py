@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .errors import ValidationError
 
-# Each wrapper imports scipy.special itself: the import adds ~3.5 MB of
-# resident memory and ~50 ms, which the resampling tests never need.
+# Each wrapper imports scipy.special itself: the import adds ~24 MB of
+# resident memory and 0.2-0.3 s, which the resampling tests never need.
 
 
 def _check_dof(*dofs: int) -> None:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -58,21 +59,44 @@ def test_deleted_parameters_stay_deleted():
     assert "panel" not in inspect.signature(mechindep.run_benchmark).parameters
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported only where it is used (the rank-deficiency report and
-    # the analytic tests' tails): at import it costs ~0.3 s and ~27 MB of RSS.
+def scipy_modules_after(code: str) -> str:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
     src = str(Path(mechindep.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, mechindep, mechindep.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     run = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only where it is used (the rank-deficiency report and
+    # the analytic tests' tails): at import it costs ~0.3 s and ~27 MB of RSS.
+    assert scipy_modules_after("import sys, mechindep, mechindep.cli") == "[]\n"
+
+
+def test_op_paths_load_no_scipy(tmp_path):
+    # On top of ~30 MB for the import, scipy.special would add ~24 MB of RSS,
+    # scipy.linalg ~26 MB and scipy.spatial.distance ~36 MB to resampling
+    # tests that peak at 50-70 MB.
+    data, out = str(tmp_path / "data.csv"), str(tmp_path / "r.json")
+    code = f"""
+import sys
+import numpy as np
+import mechindep as mi
+from mechindep import cli
+config = mi.PolynomialConfig(6, 60, degree=2, confounded=True)
+ds, _ = mi.generate_polynomial(config, np.random.default_rng(0))
+mi.save_csv_dataset(ds, {data!r})
+for boot in (True, False):
+    mi.mint_test(ds, mi.treatment_spec(2), mi.outcome_spec(2), M=20, use_bootstrap=boot)
+mi.kernel_mint_test(ds, mi.KernelSpec(), mi.KernelSpec(), M=20)
+assert cli.main(["test", "--input", {data!r}, "--no-bootstrap", "--output", {out!r}]) == 0
+"""
+    assert scipy_modules_after(code) == "[]\n"
 
 
 DELETED_FIELDS = {
@@ -82,6 +106,7 @@ DELETED_FIELDS = {
     },
     mechindep.LinearExampleConfig: {
         "sigma_x", "sigma_u", "noise_var_a", "noise_var_y", "varying_range",
+        "alpha0", "alpha_x", "beta0", "beta_x", "beta_a", "beta_ax", "mu_x", "mu_u",
     },
     mechindep.SemiSyntheticSpec: {"noise_std", "resample_beta_intercept"},
 }
@@ -90,6 +115,12 @@ DELETED_FIELDS = {
 @pytest.mark.parametrize("cls", DELETED_FIELDS, ids=lambda cls: cls.__name__)
 def test_deleted_config_fields_stay_deleted(cls):
     assert not DELETED_FIELDS[cls] & set(inspect.signature(cls).parameters)
+
+
+@pytest.mark.parametrize("cls", [mechindep.GroundTruth, mechindep.SemiSyntheticTruth],
+                         ids=lambda cls: cls.__name__)
+def test_truth_records_have_no_varied_label(cls):
+    assert "varied" not in {f.name for f in dataclasses.fields(cls)}
 
 
 @pytest.mark.parametrize("combine", [combine_fisher, combine_tippett])

@@ -235,8 +235,8 @@ class TestExperimentConfig:
         "params",
         [
             {"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5}, {"n_covariates": True},
-            {"varying": "alpha0"}, {"varying": ["alpha0", 1]}, {"alpha0": "ab"},
-            {"mu_u": [0.1, 3.0]}, {"resample_beta_intercept": 1},
+            {"varying": "alpha0"}, {"varying": ["alpha0", 1]}, {"alpha_u": "ab"},
+            {"beta_u": [0.1, 3.0]}, {"resample_beta_intercept": 1},
             {"covariate_columns": "x1"}, {"covariate_columns": ["x1", 2]},
         ],
     )
@@ -245,8 +245,8 @@ class TestExperimentConfig:
         key = next(iter(params))
         generator, base = {
             "varying": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
-            "alpha0": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
-            "mu_u": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
+            "alpha_u": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
+            "beta_u": ("linear_example", {"n_envs": 4, "n_per_env": 40}),
             "covariate_columns": ("semi_synthetic", {"covariates_csv": "cov.csv"}),
         }.get(key, ("polynomial", {"n_envs": 4, "n_per_env": 40}))
         with pytest.raises(ValidationError, match=f"\\[{key!r}\\](\\[\\d\\])?: expected"):
@@ -265,9 +265,9 @@ class TestExperimentConfig:
 
     def test_integer_accepted_for_float_generator_field(self):
         config = tiny_experiment(
-            generator="linear_example", generator_params={"n_envs": 4, "n_per_env": 40, "alpha0": 1}
+            generator="linear_example", generator_params={"n_envs": 4, "n_per_env": 40, "alpha_u": 1}
         )
-        assert config.generator_config == LinearExampleConfig(4, 40, alpha0=1.0)
+        assert config.generator_config == LinearExampleConfig(4, 40, alpha_u=1.0)
 
     def test_parsed_kernels_are_specs(self):
         config = tiny_experiment(

@@ -8,6 +8,7 @@ from mechindep import (
     EnvironmentBlock,
     KernelSpec,
     MultiEnvDataset,
+    NumericalError,
     ValidationError,
     generate_dataset,
     load_covariate_panel,
@@ -15,6 +16,7 @@ from mechindep import (
     run_method,
     save_csv_dataset,
 )
+import mechindep.harness as harness_module
 import mechindep.io as io_module
 from mechindep.cli import main
 from mechindep.harness import generator_config_from_dict
@@ -341,6 +343,18 @@ def write_generator_config(tmp_path, confounded=False):
     return path
 
 
+def write_covariate_csv(tmp_path, n_columns):
+    """A covariate CSV of 3 environments x 30 rows and ``n_columns`` columns."""
+    rng = np.random.default_rng(0)
+    cov = tmp_path / "cov.csv"
+    lines = ["env," + ",".join(f"c{j}" for j in range(n_columns))]
+    for s in range(3):
+        for _ in range(30):
+            lines.append(f"s{s}," + ",".join(f"{v:.6f}" for v in rng.normal(size=n_columns)))
+    cov.write_text("\n".join(lines) + "\n")
+    return cov
+
+
 def write_semi_synthetic_config(tmp_path, covariates, **params):
     path = tmp_path / "semi.json"
     path.write_text(json.dumps({
@@ -438,13 +452,7 @@ class TestCli:
         assert outs[0] == outs[1]
 
     def test_simulate_semi_synthetic_pipeline(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        cov = tmp_path / "cov.csv"
-        lines = ["env," + ",".join(f"c{j}" for j in range(6))]
-        for s in range(3):
-            for _ in range(30):
-                lines.append(f"s{s}," + ",".join(f"{v:.6f}" for v in rng.normal(size=6)))
-        cov.write_text("\n".join(lines) + "\n")
+        cov = write_covariate_csv(tmp_path, n_columns=6)
         gen = write_semi_synthetic_config(
             tmp_path, cov, n_confounders=4, observed_subset_size=2, confounded=True, degree=2
         )
@@ -474,6 +482,44 @@ class TestCli:
                 rows.append(f"{s},{rng.normal():.6f},{rng.normal():.6f},1.0")
         data.write_text("\n".join(rows) + "\n")
         assert main(["test", "--input", str(data), "--resamples", "20"]) == 2
+
+    def write_semi_synthetic_benchmark(self, tmp_path, n_columns, n_confounders):
+        cov = write_covariate_csv(tmp_path, n_columns)
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "schema_version": 1,
+            "generator": "semi_synthetic",
+            "generator_params": {"covariates_csv": str(cov), "n_confounders": n_confounders,
+                                 "observed_subset_size": 2},
+            "method_params": {"resamples": 20},
+            "sweep": {"axis": "degree", "values": [1]},
+            "repetitions": 1,
+            "seed": 0,
+        }))
+        return ["benchmark", "--config", str(config), "--output", str(tmp_path / "o.csv")]
+
+    def test_failed_repetition_with_validation_cause_exits_one(self, tmp_path, capsys):
+        # The panel width is checked only when a repetition draws its data.
+        argv = self.write_semi_synthetic_benchmark(tmp_path, n_columns=8, n_confounders=9)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: repetition failed at degree=1, repetition 0, seed ")
+        assert err.endswith(": covariate panel has 8 columns, need >= 9\n")
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_failed_repetition_with_numerical_cause_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def singular(*args):
+            raise NumericalError("singular outcome design")
+
+        monkeypatch.setattr(harness_module, "run_method", singular)
+        argv = self.write_semi_synthetic_benchmark(tmp_path, n_columns=4, n_confounders=3)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: repetition failed at degree=1, repetition 0, seed ")
+        assert err.endswith(": singular outcome design\n")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "exp.json"
@@ -588,8 +634,30 @@ class TestSimulateConfigKeys:
         gen = write_semi_synthetic_config(tmp_path, missing, n_confounders=3)
         data = tmp_path / "data.csv"
         argv = ["simulate", "--config", str(gen), "--output", str(data)]
-        assert_cli_rejects(capsys, argv, "observed_subset_size must lie in [1, 3], got 5")
+        message = "generator_params[semi_synthetic]: observed_subset_size must lie in [1, 3], got 5"
+        assert_cli_rejects(capsys, argv, message)
         assert not data.exists()
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("polynomial", {"n_envs": 1, "n_per_env": 30}, "need at least 2 environments, got 1"),
+            ("linear_example", {"n_envs": 4, "n_per_env": 0}, "need at least 1 sample, got 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_config_check_names_the_generator_params(
+        self, tmp_path, capsys, command, kind, params, message
+    ):
+        obj = {"schema_version": 1, "generator": kind, "generator_params": params}
+        if command == "benchmark":
+            obj.update(sweep={"axis": "n_per_env", "values": [30]}, repetitions=1, seed=0)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(obj))
+        out = tmp_path / "out.csv"
+        argv = [command, "--config", str(config), "--output", str(out)]
+        assert_cli_rejects(capsys, argv, f"error: generator_params[{kind}]: {message}\n")
+        assert not out.exists()
 
 
 class TestCliRunsThroughHarness:
@@ -644,12 +712,12 @@ class TestCliRunsThroughHarness:
         "params",
         [
             {"confounded": "false"}, {"degree": 1.5}, {"n_per_env": 20.5},
-            {"varying": "alpha0"}, {"alpha0": "ab"}, {"varying": ["alpha0", 1]},
+            {"varying": "alpha0"}, {"alpha_u": "ab"}, {"varying": ["alpha0", 1]},
         ],
     )
     def test_simulate_rejects_mistyped_generator_fields(self, tmp_path, capsys, params):
         # "false" is a truthy string: accepted, it would simulate confounded data.
-        linear = {"varying", "alpha0"} & set(params)
+        linear = {"varying", "alpha_u"} & set(params)
         gen = tmp_path / "gen.json"
         gen.write_text(json.dumps({
             "schema_version": 1,
@@ -658,7 +726,8 @@ class TestCliRunsThroughHarness:
         }))
         data = tmp_path / "data.csv"
         assert main(["simulate", "--config", str(gen), "--output", str(data)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ": expected " in err  # not an unknown key
         assert not data.exists()
 
     def test_null_kernel_is_the_default_kernel(self, tmp_path):
@@ -810,6 +879,7 @@ class TestRemovedSettings:
             ("linear_example", {"noise_var_a": 1.0}),
             ("linear_example", {"noise_var_y": 1.0}),
             ("linear_example", {"varying_range": [0.5, 1.0]}),
+            ("linear_example", {"beta_a": 1.0}),
         ],
     )
     def test_simulate_rejects_removed_generator_key(self, tmp_path, capsys, kind, params):
@@ -883,3 +953,46 @@ class TestRemovedSettings:
         out, err = capsys.readouterr()
         assert out == "" and "required: --output" in err
         assert sorted(tmp_path.iterdir()) == before
+
+
+class TestNegativeSeed:
+    # numpy's SeedSequence takes no negative entropy; the CLI rejects the seed
+    # before any data is read, drawn or written.
+    @staticmethod
+    def assert_seed_usage_error(capsys, argv, message):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: mechindep {argv[0]} ")
+        assert err.endswith(f"error: argument --seed: {message}\n")
+
+    @pytest.mark.parametrize("method", ["mint", "kernel_mint"])
+    def test_test_flag(self, tmp_path, capsys, method):
+        gen = write_generator_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert main(["simulate", "--config", str(gen), "--output", str(data)]) == 0
+        out = tmp_path / "r.json"
+        argv = ["test", "--input", str(data), "--method", method, "--seed", "-1"]
+        self.assert_seed_usage_error(
+            capsys, argv + ["--output", str(out)], "expected an integer >= 0, got -1"
+        )
+        assert not out.exists()
+
+    def test_simulate_flag(self, tmp_path, capsys):
+        gen = write_generator_config(tmp_path)
+        data = tmp_path / "data.csv"
+        argv = ["simulate", "--config", str(gen), "--seed", "-1", "--output", str(data)]
+        self.assert_seed_usage_error(capsys, argv, "expected an integer >= 0, got -1")
+        assert not data.exists()
+
+    def test_non_integer_flag(self, capsys):
+        argv = ["test", "--input", "d.csv", "--seed", "1.5"]
+        self.assert_seed_usage_error(capsys, argv, "expected an integer, got '1.5'")
+
+    def test_experiment_config(self, tmp_path, capsys):
+        config = write_experiment_config(tmp_path)
+        obj = json.loads(config.read_text())
+        config.write_text(json.dumps({**obj, "seed": -1}))
+        out = tmp_path / "o.csv"
+        argv = ["benchmark", "--config", str(config), "--output", str(out)]
+        assert_cli_rejects(capsys, argv, "error: seed must be >= 0, got -1\n")
+        assert not out.exists()
