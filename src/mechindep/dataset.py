@@ -133,10 +133,6 @@ class MultiEnvDataset:
         return tuple(b.n for b in self.blocks)
 
     @property
-    def n_total(self) -> int:
-        return sum(self.sizes)
-
-    @property
     def min_size(self) -> int:
         return min(self.sizes)
 
@@ -168,10 +164,6 @@ class CovariatePanel:
                     f"environment {env_id!r} has d={X.shape[1]}, expected {d}"
                 )
         object.__setattr__(self, "blocks", tuple(blocks))
-
-    @property
-    def n_envs(self) -> int:
-        return len(self.blocks)
 
     @property
     def d(self) -> int:

@@ -2,10 +2,16 @@
 
 Instead of explicit polynomial features, the working models are kernel ridge
 regressions: dual coefficients solve ``(G + n*lambda*I) c = target`` on the
-environment's Gram matrix. Parameter inner products across environments are
-then available through cross-Gram matrices, ``omega_s . omega_t =
-c_s' k(X_s, X_t) c_t``, which is enough to evaluate the cross-covariance
-statistic via its Gram-trace form
+environment's Gram matrix. When ``n*lambda >= 1e-6 * tr(G)`` the system is
+well conditioned and is solved after a Cholesky factorization confirms it is
+positive definite. Otherwise, or when the Cholesky fails, ``eigh`` solves it
+with G's numerical null space projected out: at a tiny ridge (a linear kernel
+at ``lambda = 1e-8``, as in acceptance criterion 9) a direct solve would give
+the dual a ``||target|| / (n*lambda)`` null-space component whose rounding
+noise the Gram contractions amplify. Parameter inner products across
+environments are then available through cross-Gram matrices,
+``omega_s . omega_t = c_s' k(X_s, X_t) c_t``, which is enough to evaluate the
+cross-covariance statistic via its Gram-trace form
 
     T = (1/K) * sqrt(tr((H Gw H) (H Gg H))),   H = I - ones/K.
 
@@ -26,6 +32,7 @@ from .mint import (
     METHOD_KERNEL_MINT,
     TestResult,
     _calibrated_result,
+    _check_draws,
     _random_permutations,
 )
 
@@ -93,7 +100,7 @@ def resolve_bandwidth(spec: KernelSpec, rows: np.ndarray) -> KernelSpec:
         keep = rng.choice(n, size=_BANDWIDTH_MAX_ROWS, replace=False)
         rows = rows[np.sort(keep)]
     sq = _squared_distances(rows, rows)
-    dists = np.sqrt(np.clip(sq[np.triu_indices(rows.shape[0], k=1)], 0.0, None))
+    dists = np.sqrt(sq[np.triu_indices(rows.shape[0], k=1)])
     positive = dists[dists > 0]
     bandwidth = float(np.median(positive)) if positive.size else 1.0
     return replace(spec, bandwidth=bandwidth)
@@ -103,6 +110,30 @@ def _squared_distances(Xa: np.ndarray, Xb: np.ndarray) -> np.ndarray:
     aa = np.sum(Xa * Xa, axis=1)[:, None]
     bb = np.sum(Xb * Xb, axis=1)[None, :]
     return np.clip(aa + bb - 2.0 * (Xa @ Xb.T), 0.0, None)
+
+
+def _kernel_rows(X: np.ndarray, spec: KernelSpec) -> tuple:
+    """Rows in the form :func:`_kernel_block` contracts: ``X`` itself for the
+    linear kernel; for RBF, ``Z = X / bandwidth`` and half its squared row
+    norms, computed once per input."""
+    if spec.kind == "linear":
+        return X, None
+    Z = X / spec.bandwidth
+    return Z, 0.5 * np.sum(Z * Z, axis=1)
+
+
+def _kernel_block(a: tuple, b: tuple) -> np.ndarray:
+    # exp(-||u - v||^2 / (2 h^2)) = exp(z_u . z_v - |z_u|^2 / 2 - |z_v|^2 / 2),
+    # built in the one n_a x n_b buffer; the exponent is clipped at 0 as the
+    # squared distance is clipped at 0.
+    (Za, half_a), (Zb, half_b) = a, b
+    out = Za @ Zb.T
+    if half_a is None:
+        return out
+    out -= half_a[:, None]
+    out -= half_b[None, :]
+    np.minimum(out, 0.0, out=out)
+    return np.exp(out, out=out)
 
 
 def gram(Xa, Xb, spec: KernelSpec) -> np.ndarray:
@@ -118,25 +149,42 @@ def gram(Xa, Xb, spec: KernelSpec) -> np.ndarray:
         raise ValidationError(
             f"row dimension mismatch: {Xa.shape[1]} vs {Xb.shape[1]}"
         )
-    if spec.kind == "linear":
-        return Xa @ Xb.T
-    if isinstance(spec.bandwidth, str):
+    if spec.kind == "rbf" and isinstance(spec.bandwidth, str):
         raise ValidationError(
             "rbf bandwidth is unresolved; call resolve_bandwidth first"
         )
-    return np.exp(-_squared_distances(Xa, Xb) / (2.0 * spec.bandwidth**2))
+    return _kernel_block(_kernel_rows(Xa, spec), _kernel_rows(Xb, spec))
+
+
+# tr(G) >= lambda_max(G), so n * lambda >= this fraction of tr(G) keeps
+# cond(G + n*lambda*I) * eps below about 2e-10.
+_CHOLESKY_RIDGE_FRACTION = 1e-6
 
 
 def _stable_dual(G: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
-    """Dual coefficients with the numerical null space of G projected out.
+    """Dual coefficients solving ``(G + n*lam*I) c = target``.
 
-    Directions with (numerically) zero Gram eigenvalue contribute exactly
-    nothing to any parameter inner product, but at small lambda they carry a
-    ``||target|| / (n * lambda)`` component whose rounding noise would later
-    be amplified by the Gram contractions. Solving on the numerical range
-    gives the same products with well-behaved dual norms.
+    If ``n * lam >= 1e-6 * tr(G)``, the system is well conditioned: a
+    Cholesky factorization checks that it is positive definite, and it is
+    solved directly. Otherwise, or if the Cholesky fails, ``eigh`` solves it
+    on G's numerical range. Directions with (numerically) zero Gram
+    eigenvalue contribute nothing to any parameter inner product, but at
+    small lambda they carry a ``||target|| / (n * lam)`` component whose
+    rounding noise the Gram contractions would amplify. A linear kernel at
+    ``lam = 1e-8`` (acceptance criterion 9) takes this branch, which raises
+    :class:`NumericalError` for a G that is not positive semi-definite.
     """
     n = G.shape[0]
+    ridge = n * lam
+    if ridge >= _CHOLESKY_RIDGE_FRACTION * np.trace(G):
+        A = G.copy()
+        A[np.diag_indices(n)] += ridge
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return np.linalg.solve(A, target)
     w, V = np.linalg.eigh(G)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     if w[0] < -1e-10 * scale:
@@ -146,7 +194,7 @@ def _stable_dual(G: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     keep = w > n * np.finfo(float).eps * w[-1]
     basis = V[:, keep]
-    return basis @ ((basis.T @ target) / (w[keep] + n * lam))
+    return basis @ ((basis.T @ target) / (w[keep] + ridge))
 
 
 def _double_center(G: np.ndarray) -> np.ndarray:
@@ -161,18 +209,21 @@ def _model_gram(inputs: list, targets: list, spec: KernelSpec) -> np.ndarray:
     """K x K inner products of one working model's implicit parameters.
 
     The bandwidth is resolved on the pooled inputs; environments may differ
-    in size, so each cross-Gram is n_s x n_t.
+    in size, so each cross-Gram is n_s x n_t. Each environment's own Gram
+    serves both its dual and ``G[s, s]``; the K diagonal Grams are not kept.
     """
     spec = resolve_bandwidth(spec, np.vstack(inputs))
-    duals = [
-        _stable_dual(gram(X, X, spec), target, spec.ridge_lambda)
-        for X, target in zip(inputs, targets)
-    ]
+    rows = [_kernel_rows(X, spec) for X in inputs]
     K = len(inputs)
     G = np.empty((K, K))
+    duals = []
     for s in range(K):
-        for t in range(s, K):
-            G[s, t] = G[t, s] = duals[s] @ gram(inputs[s], inputs[t], spec) @ duals[t]
+        block = _kernel_block(rows[s], rows[s])
+        duals.append(_stable_dual(block, targets[s], spec.ridge_lambda))
+        G[s, s] = duals[s] @ block @ duals[s]
+    for s in range(K):
+        for t in range(s + 1, K):
+            G[s, t] = G[t, s] = duals[s] @ _kernel_block(rows[s], rows[t]) @ duals[t]
     return G
 
 
@@ -220,8 +271,7 @@ def kernel_mint_test(
     (simultaneous row/column permutation of its parameter Gram matrix);
     threshold and p-value follow the explicit-feature test.
     """
-    if M < 1:
-        raise ValidationError(f"M must be >= 1, got {M}")
+    _check_draws(M, seed)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     K = dataset.n_envs

@@ -317,6 +317,14 @@ def _batched_bootstrap_fits(
     return omegas, gammas
 
 
+def _check_draws(M: int, seed: int) -> None:
+    """Reject a null-draw count or seed that the random streams cannot take."""
+    if M < 1:
+        raise ValidationError(f"M must be >= 1, got {M}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def _random_permutations(rng: np.random.Generator, M: int, K: int) -> np.ndarray:
     perms = np.tile(np.arange(K), (M, 1))
     rng.permuted(perms, axis=1, out=perms)
@@ -357,8 +365,7 @@ def permutation_test(
     """
     omegas = as_float_matrix(omegas, "omegas")
     gammas = as_float_matrix(gammas, "gammas")
-    if M < 1:
-        raise ValidationError(f"M must be >= 1, got {M}")
+    _check_draws(M, seed)
     return _permutation_result(
         frobenius_statistic(omegas, gammas),
         np.broadcast_to(omegas, (M, *omegas.shape)),
@@ -392,8 +399,7 @@ def mint_test(
     derived random streams, so the two randomizations are independent and the
     result is reproducible bit for bit from ``seed``.
     """
-    if M < 1:
-        raise ValidationError(f"M must be >= 1, got {M}")
+    _check_draws(M, seed)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     fit = fit_mechanisms(dataset, psi_spec, phi_spec)

@@ -84,7 +84,7 @@ class TestTransportabilityTest:
 
         K, z = 3, 3
         d1 = K * z - z
-        d2 = ds.n_total - K * z
+        d2 = sum(ds.sizes) - K * z
         assert f_survival(res.threshold, d1, d2) == pytest.approx(0.1, abs=1e-8)
 
     def test_insufficient_pooled_sample_rejected(self):

@@ -95,7 +95,7 @@ class TestDatasetCsv:
         path = tmp_path / "cov.csv"
         path.write_text("env,c1,c2\na,1,2\na,3,4\nb,5,6\n")
         panel = load_covariate_panel(path)
-        assert panel.n_envs == 2 and panel.d == 2
+        assert len(panel.blocks) == 2 and panel.d == 2
 
 
 LOADERS = {

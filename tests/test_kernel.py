@@ -5,6 +5,7 @@ from mechindep import (
     EnvironmentBlock,
     KernelSpec,
     MultiEnvDataset,
+    NumericalError,
     ValidationError,
     frobenius_statistic,
     gram,
@@ -13,7 +14,7 @@ from mechindep import (
     least_squares_fit,
     resolve_bandwidth,
 )
-from mechindep.kernel import EXPERIMENTAL_WARNING, _stable_dual
+from mechindep.kernel import EXPERIMENTAL_WARNING, _parameter_grams, _stable_dual
 from mechindep.mint import SMALL_K_WARNING
 
 LINEAR = KernelSpec(kind="linear", ridge_lambda=1e-8)
@@ -148,6 +149,27 @@ class TestKernelDual:
         )[0]
         np.testing.assert_allclose(primal_from_dual, explicit, atol=1e-8)
 
+    def test_small_ridge_dual_leaves_the_null_space_out(self):
+        # Linear kernel at lambda = 1e-8: n * lambda is far below 1e-6 * tr(G),
+        # so the dual comes from the eigh branch and has no component in G's
+        # numerical null space. A direct solve would give it a
+        # ||t_null|| / (n * lambda) one.
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(40, 2))
+        G = X @ X.T
+        t = rng.normal(size=40)
+        c = _stable_dual(G, t, 1e-8)
+        w, V = np.linalg.eigh(G)
+        null = V[:, w <= 40 * np.finfo(float).eps * w[-1]]
+        assert null.shape[1] == 38
+        assert np.linalg.norm(null.T @ c) <= 1e-10 * np.linalg.norm(c)
+
+    def test_indefinite_gram_raises_after_failed_cholesky(self):
+        # n * lambda >= 1e-6 * tr(G) = 0 admits the Cholesky branch; the
+        # factorization of diag(1.002, -0.998) fails and eigh rejects G.
+        with pytest.raises(NumericalError, match="not positive semi-definite"):
+            _stable_dual(np.diag([1.0, -1.0]), np.array([1.0, 2.0]), 1e-3)
+
 
 class TestKernelStatistic:
     def test_matches_explicit_features_linear_kernel(self):
@@ -198,6 +220,39 @@ class TestKernelStatistic:
             assert len(set(ds.sizes)) > 1
             got = kernel_statistic(ds, LINEAR, LINEAR)
             assert got == pytest.approx(explicit_statistic(ds), rel=1e-6)
+
+    def test_rbf_matches_eigh_reference(self):
+        # Reference: public gram and an eigh-projected dual per environment.
+        # The Cholesky branch keeps the tiny-eigenvalue directions that the
+        # projection drops, which moves the results only far below 1e-6.
+        rng = np.random.default_rng(15)
+        ds = random_dataset(rng, K=5, n=200, d=2)
+        spec = KernelSpec()
+
+        def reference_gram(inputs, targets):
+            resolved = resolve_bandwidth(spec, np.vstack(inputs))
+            duals = []
+            for X, t in zip(inputs, targets):
+                w, V = np.linalg.eigh(gram(X, X, resolved))
+                keep = w > len(t) * np.finfo(float).eps * w[-1]
+                basis = V[:, keep]
+                duals.append(basis @ ((basis.T @ t) / (w[keep] + len(t) * spec.ridge_lambda)))
+            return np.array([
+                [cs @ gram(Xs, Xt, resolved) @ ct for Xt, ct in zip(inputs, duals)]
+                for Xs, cs in zip(inputs, duals)
+            ])
+
+        blocks = ds.blocks
+        want_w = reference_gram([b.X for b in blocks], [b.A for b in blocks])
+        want_g = reference_gram(
+            [np.column_stack([b.X, b.A]) for b in blocks], [b.Y for b in blocks]
+        )
+        got_w, got_g = _parameter_grams(ds, spec, spec)
+        for got, want in ((got_w, want_w), (got_g, want_g)):
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        H = np.eye(5) - np.ones((5, 5)) / 5
+        want_t = np.sqrt(np.trace(H @ want_w @ H @ H @ want_g @ H)) / 5
+        assert kernel_statistic(ds, spec, spec) == pytest.approx(want_t, rel=1e-6)
 
     def test_rbf_runs_with_median_heuristic(self):
         rng = np.random.default_rng(10)

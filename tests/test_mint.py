@@ -5,6 +5,7 @@ import pytest
 
 from mechindep import (
     EnvironmentBlock,
+    KernelSpec,
     MultiEnvDataset,
     PolynomialConfig,
     ValidationError,
@@ -14,11 +15,13 @@ from mechindep import (
     fit_mechanisms,
     frobenius_statistic,
     generate_polynomial,
+    kernel_mint_test,
     mint_test,
     outcome_spec,
     permutation_test,
     treatment_spec,
 )
+from mechindep import kernel as kernel_module
 from mechindep import mint as mint_module
 from mechindep.mint import SMALL_K_WARNING
 
@@ -413,6 +416,23 @@ class TestMintTest:
         assert SMALL_K_WARNING in res.warnings
         res5 = mint_test(make_dataset(K=5), treatment_spec(1), outcome_spec(1), M=50, seed=3)
         assert res5.warnings == ()
+
+
+@pytest.mark.parametrize("test", ["mint", "permutation", "kernel"])
+def test_negative_seed_rejected_before_any_work(monkeypatch, test):
+    def no_work(*args):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(mint_module, "fit_mechanisms", no_work)
+    monkeypatch.setattr(kernel_module, "_parameter_grams", no_work)
+    ds = make_dataset()
+    calls = {
+        "mint": lambda: mint_test(ds, treatment_spec(1), outcome_spec(1), seed=-1),
+        "permutation": lambda: permutation_test(np.ones((3, 1)), np.ones((3, 1)), seed=-1),
+        "kernel": lambda: kernel_mint_test(ds, KernelSpec(), KernelSpec(), seed=-1),
+    }
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+        calls[test]()
 
 
 class TestPermutationCalibration:
