@@ -10,7 +10,10 @@ Column order is fixed so coefficient positions are stable everywhere:
 * treatment: ``[1 | X_1..X_d | X_1^2..X_d^2 | ... | X_1^p..X_d^p]``
 * outcome:   ``[treatment columns | A | A*X_1..A*X_d (optional) | A^2 (optional)]``
 
-Powers are per coordinate; no cross-covariate products are generated.
+Powers are per coordinate; no cross-covariate products are generated. Each
+degree is one scalar-exponent ``np.power``: squares are the correctly rounded
+``X * X``, higher powers one C ``pow`` per entry (no running product, whose
+rounding errors reach several ulp by degree 10).
 """
 
 from __future__ import annotations
@@ -101,8 +104,10 @@ def outcome_spec(
 def _power_block(X: np.ndarray, degree: int) -> np.ndarray:
     # (n, degree*d): X^1 columns, then X^2 columns, ..., then X^degree.
     n, d = X.shape
-    powers = X[:, None, :] ** np.arange(1, degree + 1, dtype=float)[None, :, None]
-    return powers.reshape(n, degree * d)
+    block = np.empty((n, degree, d))
+    for k in range(1, degree + 1):
+        np.power(X, float(k), out=block[:, k - 1])
+    return block.reshape(n, degree * d)
 
 
 def build_treatment_features(X, spec: FeatureSpec) -> np.ndarray:

@@ -183,7 +183,10 @@ def _numpy_env_table(path, env_column, named, covariate_columns):
     groups = np.array([index.setdefault(env.strip(), len(index)) for env in table[f"f{env_idx}"]])
     if len(index) < 2 or "" in index:
         return None
-    return [(env, values[groups == g]) for g, env in enumerate(index)]
+    # One stable sort keeps each environment's rows in file order.
+    order = np.argsort(groups, kind="stable")
+    tables = np.split(values[order], np.cumsum(np.bincount(groups))[:-1])
+    return list(zip(index, tables))
 
 
 def _python_env_table(path, env_column, named, covariate_columns):

@@ -109,7 +109,7 @@ def _batched_statistic(omegas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     K = omegas.shape[1]
     oc = omegas - omegas.mean(axis=1, keepdims=True)
     gc = gammas - gammas.mean(axis=1, keepdims=True)
-    cross = np.einsum("mki,mkj->mij", oc, gc)
+    cross = np.matmul(oc.transpose(0, 2, 1), gc)
     return np.sqrt(np.einsum("mij,mij->m", cross, cross)) / K
 
 
@@ -281,7 +281,9 @@ def _batched_bootstrap_fits(
     Memory per environment is ``O(n * p^2)`` for ``W`` plus ``O(M * p^2)``
     for the moments (``p`` columns of ``U``); the resample counts are drawn
     in chunks of about ``_CHUNK_ELEMENTS`` entries, so no ``M x n`` array is
-    ever built.
+    ever built. ``W`` is filled one column of ``U`` at a time, and each
+    environment's ``U`` and ``W`` are released before the next one's are
+    built, so the peak is one ``W`` plus a few MB.
     """
     z, z_out = check_dimensions(dataset, psi_spec, phi_spec)
     K = dataset.n_envs
@@ -307,9 +309,13 @@ def _batched_bootstrap_fits(
         if not shared:
             cols.insert(0, build_treatment_features(block.X, psi_spec))
         U = np.hstack(cols)
-        W = U[:, iu]
-        W *= U[:, ju]
+        del cols
+        W = np.empty((len(U), iu.size))
+        for i in range(len(pos)):  # no (n, P) temporary beside W
+            np.multiply(U[:, i : i + 1], U[:, i:], out=W[:, pos[i, i] : pos[i, -1] + 1])
+        del U
         moments = _resampled_moments(rng, W, M).T.copy()
+        del W  # freed before the next environment's U and W are built
         for fits, (gram, rhs) in ((omegas, treatment), (gammas, outcome)):
             fits[:, s, :] = _equilibrated_batch_solve(
                 moments[gram], moments[rhs], _RIDGE_JITTER

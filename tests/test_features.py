@@ -64,6 +64,20 @@ class TestTreatmentFeatures:
                 got, brute_force_treatment(X, int(p), spec.include_intercept)
             )
 
+    def test_squares_are_x_times_x_and_higher_powers_keep_their_bits(self):
+        # Squares are the correctly rounded X * X; degrees >= 3 keep the bits
+        # of the broadcast array-exponent power that built every degree
+        # before, which is their oracle here.
+        rng = np.random.default_rng(43)
+        X = rng.normal(scale=3.0, size=(400, 5))
+        degree = 10
+        got = build_treatment_features(X, treatment_spec(degree, include_intercept=False))
+        got = got.reshape(len(X), degree, X.shape[1])
+        broadcast = X[:, None, :] ** np.arange(1, degree + 1, dtype=float)[None, :, None]
+        np.testing.assert_array_equal(got[:, 0], X)
+        np.testing.assert_array_equal(got[:, 1], X * X)
+        np.testing.assert_array_equal(got[:, 2:], broadcast[:, 2:])
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
             build_treatment_features(np.empty((0, 2)), treatment_spec(1))

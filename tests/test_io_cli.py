@@ -242,6 +242,9 @@ LOADS = {
     "hash_label": ("env,a,y,x1\n#a,1,2,3\nb,0,1,2\n", {}, True),
     "numeric_label": ("env,a,y,x1\n1.5,1,2,3\n2,0,1,2\n", {}, True),
     "byte_order_mark": ("\ufeffenv,a,y,x1\na,1,2,3\nb,0,1,2\n", {}, True),
+    "interleaved_environments": (
+        "env,a,y,x1\nc,1,2,3\na,0,1,2\nb,1,5,6\na,4,5,7\nc,0,8,9\nb,1,3,1\n", {}, True,
+    ),
     "text_outside_covariates": (
         "env,a,y,x1,note\na,1,2,3,first\nb,0,1,2,\n",
         {"covariate_columns": ("a", "x1")}, True,
