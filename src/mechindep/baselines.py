@@ -54,14 +54,6 @@ def combine_tippett(p_values) -> float:
     return float(1.0 - (1.0 - min(values)) ** k)
 
 
-def _pooled_outcome_design(dataset: MultiEnvDataset, phi_spec: FeatureSpec):
-    blocks = [
-        build_outcome_features(b.X, b.A, phi_spec) for b in dataset.blocks
-    ]
-    y = np.concatenate([b.Y for b in dataset.blocks])
-    return blocks, y
-
-
 def transportability_test(
     dataset: MultiEnvDataset,
     phi_spec: FeatureSpec,
@@ -82,8 +74,8 @@ def transportability_test(
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     K = dataset.n_envs
-    feature_blocks, y = _pooled_outcome_design(dataset, phi_spec)
-    pooled = np.vstack(feature_blocks)
+    feature_blocks = [build_outcome_features(b.X, b.A, phi_spec) for b in dataset.blocks]
+    pooled, y = np.vstack(feature_blocks), np.concatenate([b.Y for b in dataset.blocks])
     n, z_out = pooled.shape
     df_full = K * z_out
     if n <= df_full + 1:

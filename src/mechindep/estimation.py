@@ -7,12 +7,14 @@ normal-equation inverse, with rank tolerance ``max(n, m) * eps * sigma_max``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import MultiEnvDataset, as_float_matrix, as_float_vector
+from .dataset import MultiEnvDataset, _readonly, as_float_matrix, as_float_vector
 from .errors import RankDeficientError, ValidationError
-from .features import FeatureSpec, build_outcome_features, build_treatment_features
+from .features import OUTCOME, TREATMENT, FeatureSpec
+from .features import build_outcome_features, build_treatment_features
 
 _EPS = np.finfo(float).eps
 
@@ -54,16 +56,10 @@ class MechanismEstimates:
             )
         if len(self.env_ids) != omegas.shape[0]:
             raise ValidationError("env_ids length must equal K")
-        for arr, name in ((omegas, "omegas"), (gammas, "gammas")):
-            arr = np.array(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "omegas", _readonly(np.array(omegas)))
+        object.__setattr__(self, "gammas", _readonly(np.array(gammas)))
         object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         object.__setattr__(self, "env_ids", tuple(self.env_ids))
-
-    @property
-    def n_envs(self) -> int:
-        return self.omegas.shape[0]
 
 
 def _find_deficient_columns(design: np.ndarray, rank: int) -> tuple[int, ...]:
@@ -130,26 +126,58 @@ def least_squares_fit(design, target) -> np.ndarray:
     return beta
 
 
-def _fit_with_diagnostics(design: np.ndarray, target: np.ndarray):
-    n, m = design.shape
-    beta, rss, cond = _lstsq_full_rank(design, target)
-    return beta, FitDiagnostics(
-        residual_variance=rss / (n - m) if n > m else 0.0,
-        design_condition_estimate=max(cond, 1.0),
-    )
+class _DesignLayout(NamedTuple):
+    """Columns of each model's features and targets in an environment's design."""
+
+    psi: slice
+    phi: slice
+    a_col: int
+    y_col: int
 
 
-def check_dimensions(dataset: MultiEnvDataset, psi_spec: FeatureSpec, phi_spec: FeatureSpec):
-    """Require both feature dimensions to be below the smallest sample size."""
-    z = psi_spec.output_dim(dataset.d)
-    z_out = phi_spec.output_dim(dataset.d)
-    n_min = dataset.min_size
-    if z >= n_min or z_out >= n_min:
+def _design_layout(dataset: MultiEnvDataset, psi_spec: FeatureSpec, phi_spec: FeatureSpec):
+    """The layout of every environment's design ``U = [psi | phi | Y]``.
+
+    When both specs share degree and intercept, psi is the leading columns of
+    phi and is not stored twice: ``U = [phi | Y]``. ``A`` is a phi column.
+    Each spec must be of its model's kind, and both feature dimensions must be
+    below the smallest sample size.
+    """
+    if psi_spec.kind != TREATMENT:
+        raise ValidationError(f"expected a treatment_psi spec, got {psi_spec.kind!r}")
+    if phi_spec.kind != OUTCOME:
+        raise ValidationError(f"expected an outcome_phi spec, got {phi_spec.kind!r}")
+    z, z_out = psi_spec.output_dim(dataset.d), phi_spec.output_dim(dataset.d)
+    if max(z, z_out) >= dataset.min_size:
         raise ValidationError(
             f"feature dimensions (z={z}, z'={z_out}) must be below the smallest "
-            f"environment sample size ({n_min})"
+            f"environment sample size ({dataset.min_size})"
         )
-    return z, z_out
+    shared = (psi_spec.degree, psi_spec.include_intercept) == (
+        phi_spec.degree,
+        phi_spec.include_intercept,
+    )
+    lead = 0 if shared else z
+    a_col = lead + int(phi_spec.include_intercept) + dataset.d * phi_spec.degree
+    return _DesignLayout(slice(z), slice(lead, lead + z_out), a_col, lead + z_out)
+
+
+def _build_design(block, psi_spec: FeatureSpec, phi_spec: FeatureSpec, layout: _DesignLayout):
+    """One environment's design ``U``, each feature map built once."""
+    cols = [build_outcome_features(block.X, block.A, phi_spec), block.Y[:, None]]
+    if layout.phi.start:
+        cols.insert(0, build_treatment_features(block.X, psi_spec))
+    return np.hstack(cols)
+
+
+def _full_fit(U: np.ndarray, layout: _DesignLayout):
+    """``(coefficients, diagnostics)`` of the treatment, then the outcome model."""
+    fits = []
+    for cols, target in ((layout.psi, layout.a_col), (layout.phi, layout.y_col)):
+        beta, rss, cond = _lstsq_full_rank(U[:, cols], U[:, target])
+        # n > m in every environment, by _design_layout's check.
+        fits.append((beta, FitDiagnostics(rss / (len(U) - len(beta)), max(cond, 1.0))))
+    return fits
 
 
 def fit_mechanisms(
@@ -170,15 +198,12 @@ def fit_mechanisms(
     RankDeficientError
         Propagated from a singular per-environment design.
     """
-    z, z_out = check_dimensions(dataset, psi_spec, phi_spec)
-    K = dataset.n_envs
-    omegas = np.empty((K, z))
-    gammas = np.empty((K, z_out))
+    layout = _design_layout(dataset, psi_spec, phi_spec)
+    omegas = np.empty((dataset.n_envs, layout.psi.stop))
+    gammas = np.empty((dataset.n_envs, layout.phi.stop - layout.phi.start))
     diags = []
     for s, block in enumerate(dataset.blocks):
-        psi = build_treatment_features(block.X, psi_spec)
-        phi = build_outcome_features(block.X, block.A, phi_spec)
-        omegas[s], d_t = _fit_with_diagnostics(psi, block.A)
-        gammas[s], d_o = _fit_with_diagnostics(phi, block.Y)
+        U = _build_design(block, psi_spec, phi_spec, layout)
+        (omegas[s], d_t), (gammas[s], d_o) = _full_fit(U, layout)
         diags.append(EnvironmentDiagnostics(block.env_id, d_t, d_o))
     return MechanismEstimates(omegas, gammas, tuple(diags), dataset.env_ids)

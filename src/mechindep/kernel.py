@@ -269,7 +269,8 @@ def kernel_mint_test(
 
     The null draws permute the environment index set on the treatment side
     (simultaneous row/column permutation of its parameter Gram matrix);
-    threshold and p-value follow the explicit-feature test.
+    threshold and p-value follow the explicit-feature test. The result is
+    fixed bit for bit by ``seed`` at a given BLAS thread count.
     """
     _check_draws(M, seed)
     if not 0.0 < alpha < 1.0:

@@ -8,9 +8,10 @@ re-estimating on within-environment bootstrap resamples and randomly
 permuting the environment index of the treatment-side parameters, which
 breaks any pairing while preserving estimation noise.
 
-Each bootstrap refit solves the normal equations weighted by the resample
-multiplicity counts, with the Grams of all M resamples from one GEMM per
-environment (``_batched_bootstrap_fits``). Their M systems per model are
+One pass over the environments (``_fits_and_refits``) fits both models on
+each environment's design and refits them on its bootstrap resamples by the
+normal equations weighted by the resample multiplicity counts, with the
+Grams of all M resamples from one GEMM per environment. Their M systems are
 solved by one Cholesky loop vectorized over them, whose rank screen is the
 pivoted-Cholesky criterion (LAPACK ``?pstrf``; Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 10): a resample whose Gram, scaled
@@ -27,8 +28,8 @@ import numpy as np
 
 from .dataset import MultiEnvDataset, as_float_matrix, as_float_vector
 from .errors import ValidationError
-from .estimation import check_dimensions, fit_mechanisms
-from .features import FeatureSpec, build_outcome_features, build_treatment_features
+from .estimation import _build_design, _design_layout, _full_fit, fit_mechanisms
+from .features import FeatureSpec
 
 METHOD_MINT = "mint"
 METHOD_MINT_NO_BOOTSTRAP = "mint_no_bootstrap"
@@ -225,26 +226,25 @@ def _equilibrated_batch_solve(
 # Rows of one bootstrap chunk hold about this many resample counts, so the
 # chunk buffers take a few MB whatever M is.
 _CHUNK_ELEMENTS = 1 << 19
-# Rows counted by one bincount call hold about this many counts, so the count
-# array stays in cache; one bincount over a whole chunk ran ~3x slower at
-# n = 10,000 on a 2-vCPU Xeon (AVX-512, OpenBLAS 0.3.31).
+# Blocks of about this many elements stay in cache: the counts of one
+# bincount call and one row block of W. One bincount over a whole chunk ran
+# ~3x slower at n = 10,000 on a 2-vCPU Xeon (AVX-512, OpenBLAS 0.3.31).
 _BINCOUNT_ELEMENTS = 1 << 15
 
 
-def _resampled_moments(rng: np.random.Generator, W: np.ndarray, M: int) -> np.ndarray:
-    """``counts @ W`` for ``M`` bootstrap resamples of the rows of ``W``.
+def _resampled_moments(rng: np.random.Generator, W: np.ndarray, out: np.ndarray) -> None:
+    """Write ``counts @ W`` for ``len(out)`` bootstrap resamples of the rows of ``W``.
 
     Resample ``m`` draws ``n`` row indices with replacement; ``counts[m]``
     holds each row's multiplicity. Resamples are drawn in chunks of rows, so
     only one chunk of counts exists at a time. Drawing the rows of a chunk in
     one call consumes the stream exactly as one ``(M, n)`` draw would.
     """
-    n, P = W.shape
+    M, n = len(out), len(W)
     rows = max(1, min(M, _CHUNK_ELEMENTS // n))
     group = max(1, min(rows, _BINCOUNT_ELEMENTS // n))
     offsets = (np.arange(group, dtype=np.int32) * n)[:, None]
     counts = np.empty((rows, n))
-    out = np.empty((M, P))
     for start in range(0, M, rows):
         r = min(rows, M - start)
         # int32 draws consume the generator exactly as int64 draws do.
@@ -257,70 +257,54 @@ def _resampled_moments(rng: np.random.Generator, W: np.ndarray, M: int) -> np.nd
                 flat.reshape(-1), minlength=g * n
             )
         np.matmul(counts[:r], W, out=out[start : start + r])
-    return out
 
 
-def _batched_bootstrap_fits(
+def _fits_and_refits(
     dataset: MultiEnvDataset,
     psi_spec: FeatureSpec,
     phi_spec: FeatureSpec,
     M: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All M bootstrap refits at once; returns (M, K, z) and (M, K, z').
+):
+    """Full-data fits and all M bootstrap refits, one environment at a time.
 
-    Weighting the normal equations by the resample multiplicity counts
-    reproduces least squares on the materialized resampled rows. Both
-    models' Grams and right-hand sides are entries of one moment matrix:
-    with ``U = [phi | Y]``, ``W`` holds the upper-triangle column products
-    ``U_i * U_j`` and ``counts @ W`` gives every entry in one GEMM. When the
-    two specs share degree and intercept, the treatment features are the
-    leading z columns of phi and ``A`` is a phi column, so the treatment
-    system is a sub-block; otherwise ``U = [psi | phi | Y]``.
-
-    Memory per environment is ``O(n * p^2)`` for ``W`` plus ``O(M * p^2)``
-    for the moments (``p`` columns of ``U``); the resample counts are drawn
-    in chunks of about ``_CHUNK_ELEMENTS`` entries, so no ``M x n`` array is
-    ever built. ``W`` is filled one column of ``U`` at a time, and each
-    environment's ``U`` and ``W`` are released before the next one's are
-    built, so the peak is one ``W`` plus a few MB.
+    Returns the (K, z) and (K, z') full-data fits, as :func:`fit_mechanisms`
+    gives them, then the (M, K, z) and (M, K, z') refits. Both models' Grams
+    and right-hand sides are entries of one moment matrix: ``W`` holds the
+    upper-triangle column products ``U_i * U_j`` of the design and ``counts
+    @ W`` gives every entry in one GEMM. The peak is one ``W`` plus a few MB.
     """
-    z, z_out = check_dimensions(dataset, psi_spec, phi_spec)
-    K = dataset.n_envs
-    shared = (psi_spec.degree, psi_spec.include_intercept) == (
-        phi_spec.degree,
-        phi_spec.include_intercept,
-    )
-    lead = 0 if shared else z
-    psi_cols = np.arange(z)
-    phi_cols = lead + np.arange(z_out)
-    a_col = lead + int(phi_spec.include_intercept) + dataset.d * phi_spec.degree
-    y_col = lead + z_out
-    iu, ju = np.triu_indices(y_col + 1)
-    # pos[i, j]: the column of W holding U_i * U_j.
-    pos = np.empty((y_col + 1, y_col + 1), dtype=np.intp)
+    psi, phi, a, y = layout = _design_layout(dataset, psi_spec, phi_spec)
+    K, z, z_out = dataset.n_envs, psi.stop, phi.stop - phi.start
+    iu, ju = np.triu_indices(y + 1)
+    pos = np.empty((y + 1, y + 1), dtype=np.intp)  # the column of W holding U_i * U_j
     pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
-    treatment = pos[np.ix_(psi_cols, psi_cols)], pos[psi_cols, a_col]
-    outcome = pos[np.ix_(phi_cols, phi_cols)], pos[phi_cols, y_col]
-    omegas = np.empty((M, K, z))
-    gammas = np.empty((M, K, z_out))
+    systems = (pos[psi, psi], pos[psi, a]), (pos[phi, phi], pos[phi, y])
+    omegas, gammas = np.empty((K, z)), np.empty((K, z_out))
+    refits = np.empty((M, K, z)), np.empty((M, K, z_out))
+    # A row block of W of about _BINCOUNT_ELEMENTS bounds the gather's temporary.
+    rows = max(1, _BINCOUNT_ELEMENTS // iu.size)
+    # The GEMM output and its transpose have one shape in every environment:
+    # allocated once, and freed on return, before the permutation stage
+    # builds its larger arrays. Allocated per environment, they doubled the
+    # page faults at the mint-flex shape.
+    gemm_out, moments = np.empty((M, iu.size)), np.empty((iu.size, M))
     for s, block in enumerate(dataset.blocks):
-        cols = [build_outcome_features(block.X, block.A, phi_spec), block.Y[:, None]]
-        if not shared:
-            cols.insert(0, build_treatment_features(block.X, psi_spec))
-        U = np.hstack(cols)
-        del cols
+        U = _build_design(block, psi_spec, phi_spec, layout)
+        (omegas[s], _), (gammas[s], _) = _full_fit(U, layout)
         W = np.empty((len(U), iu.size))
-        for i in range(len(pos)):  # no (n, P) temporary beside W
-            np.multiply(U[:, i : i + 1], U[:, i:], out=W[:, pos[i, i] : pos[i, -1] + 1])
+        for r in range(0, len(U), rows):  # "clip" skips take's buffered copy
+            np.take(U[r : r + rows], iu, axis=1, out=W[r : r + rows], mode="clip")
+            W[r : r + rows] *= U[r : r + rows, ju]
         del U
-        moments = _resampled_moments(rng, W, M).T.copy()
+        _resampled_moments(rng, W, gemm_out)
         del W  # freed before the next environment's U and W are built
-        for fits, (gram, rhs) in ((omegas, treatment), (gammas, outcome)):
+        moments[:] = gemm_out.T
+        for fits, (gram, rhs) in zip(refits, systems):
             fits[:, s, :] = _equilibrated_batch_solve(
                 moments[gram], moments[rhs], _RIDGE_JITTER
             ).T
-    return omegas, gammas
+    return omegas, gammas, *refits
 
 
 def _check_draws(M: int, seed: int) -> None:
@@ -402,16 +386,18 @@ def mint_test(
     observed statistic.
 
     The bootstrap resampling and the permutations consume two separately
-    derived random streams, so the two randomizations are independent and the
-    result is reproducible bit for bit from ``seed``.
+    derived random streams, so the two randomizations are independent. The
+    result is fixed bit for bit by ``seed`` at a given BLAS thread count.
     """
     _check_draws(M, seed)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    fit = fit_mechanisms(dataset, psi_spec, phi_spec)
     if not use_bootstrap:
+        fit = fit_mechanisms(dataset, psi_spec, phi_spec)
         return permutation_test(fit.omegas, fit.gammas, alpha, M, seed)
     boot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    omegas_b, gammas_b = _batched_bootstrap_fits(dataset, psi_spec, phi_spec, M, boot_rng)
-    statistic = frobenius_statistic(fit.omegas, fit.gammas)
+    omegas, gammas, omegas_b, gammas_b = _fits_and_refits(
+        dataset, psi_spec, phi_spec, M, boot_rng
+    )
+    statistic = frobenius_statistic(omegas, gammas)
     return _permutation_result(statistic, omegas_b, gammas_b, alpha, seed, METHOD_MINT)

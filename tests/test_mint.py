@@ -21,6 +21,7 @@ from mechindep import (
     permutation_test,
     treatment_spec,
 )
+from mechindep import features as features_module
 from mechindep import kernel as kernel_module
 from mechindep import mint as mint_module
 from mechindep.mint import SMALL_K_WARNING
@@ -166,11 +167,14 @@ def make_dataset(K=4, n=60, seed=0, confounded=False):
     return generate_polynomial(config, np.random.default_rng(seed))[0]
 
 
+def bootstrap_refits(ds, psi, phi, M, rng):
+    """The (M, K, z) and (M, K, z') bootstrap refits of mint_test's pass."""
+    return mint_module._fits_and_refits(ds, psi, phi, M, rng)[2:]
+
+
 def one_bootstrap_refit(ds, psi, phi, seed):
     """One bootstrap refit of both models: (K, z) and (K, z') arrays."""
-    omegas, gammas = mint_module._batched_bootstrap_fits(
-        ds, psi, phi, M=1, rng=np.random.default_rng(seed)
-    )
+    omegas, gammas = bootstrap_refits(ds, psi, phi, 1, np.random.default_rng(seed))
     return omegas[0], gammas[0]
 
 
@@ -250,7 +254,8 @@ class TestBatchedBootstrapFits:
     def test_chunked_draws_match_one_chunk(self, monkeypatch):
         # Small-integer data make every Gram entry an exact integer, so the
         # fits are bit-identical whatever the chunking. At odd n, chunks of 3
-        # rows counted 2 rows at a time leave ragged ends at M = 20.
+        # rows counted 2 rows at a time leave ragged ends at M = 20, and W
+        # (15 products per row) is gathered in row blocks of 8.
         rng = np.random.default_rng(12)
         blocks = tuple(
             EnvironmentBlock(
@@ -263,11 +268,10 @@ class TestBatchedBootstrapFits:
         )
         ds = MultiEnvDataset(blocks)
         psi, phi = treatment_spec(1), outcome_spec(1, interactions=True)
-        fit = mint_module._batched_bootstrap_fits
-        one = fit(ds, psi, phi, 20, np.random.default_rng(4))
+        one = bootstrap_refits(ds, psi, phi, 20, np.random.default_rng(4))
         monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", 3 * 61 + 5)
         monkeypatch.setattr(mint_module, "_BINCOUNT_ELEMENTS", 2 * 61)
-        chunked = fit(ds, psi, phi, 20, np.random.default_rng(4))
+        chunked = bootstrap_refits(ds, psi, phi, 20, np.random.default_rng(4))
         np.testing.assert_array_equal(chunked[0], one[0])
         np.testing.assert_array_equal(chunked[1], one[1])
 
@@ -287,9 +291,7 @@ class TestBatchedBootstrapFits:
         ds = generate_polynomial(config, np.random.default_rng(13))[0]
         monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", 7 * 41)
         monkeypatch.setattr(mint_module, "_BINCOUNT_ELEMENTS", 3 * 41)
-        omegas, gammas = mint_module._batched_bootstrap_fits(
-            ds, psi, phi, 16, np.random.default_rng(5)
-        )
+        omegas, gammas = bootstrap_refits(ds, psi, phi, 16, np.random.default_rng(5))
         want_omegas, want_gammas = resampled_lstsq(ds, psi, phi, 16, 5)
         np.testing.assert_allclose(omegas, want_omegas, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(gammas, want_gammas, rtol=1e-8, atol=1e-10)
@@ -326,9 +328,10 @@ class TestBatchedBootstrapFits:
 
     def test_peak_memory_is_about_one_column_product_matrix(self):
         # W holds the n * P column products of U = [phi | Y]: p = 13 columns
-        # at degree 10 and d = 1, so P = 91. W is filled in place and each
-        # environment's W is freed before the next is built, so the peak is
-        # one W plus the chunk buffers; a second (n, P) array gives ~2.3x.
+        # at degree 10 and d = 1, so P = 91. W is gathered in bounded row
+        # blocks and each environment's W is freed before the next is built,
+        # so the peak is one W plus the chunk buffers; a second (n, P) array
+        # gives ~2.3x.
         n = 50_000
         ds = make_dataset(K=2, n=n, seed=14)
         phi = outcome_spec(10)
@@ -341,6 +344,59 @@ class TestBatchedBootstrapFits:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * w_bytes, peak / w_bytes
+
+
+SPLIT_SPECS = (treatment_spec(2, include_intercept=False), outcome_spec(1))
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "psi,phi,builds_per_env",
+        [(treatment_spec(2), outcome_spec(2, interactions=True), 1), (*SPLIT_SPECS, 2)],
+    )
+    def test_features_are_built_once_per_environment(self, monkeypatch, psi, phi, builds_per_env):
+        # Shared specs build phi only (psi is its leading columns); split
+        # specs build each map once. Each build makes one power block.
+        ds = make_dataset(K=5, n=80, seed=3)  # the generator builds features too
+        calls = []
+        power_block = features_module._power_block
+
+        def counted(X, degree):
+            calls.append(degree)
+            return power_block(X, degree)
+
+        monkeypatch.setattr(features_module, "_power_block", counted)
+        mint_test(ds, psi, phi, M=20, seed=1)
+        assert len(calls) == builds_per_env * ds.n_envs
+
+    @pytest.mark.parametrize(
+        "psi,phi", [(treatment_spec(2), outcome_spec(2, square=True)), SPLIT_SPECS]
+    )
+    def test_statistic_is_that_of_fit_mechanisms(self, psi, phi):
+        # The golden file's split-spec data: psi is not a prefix of phi.
+        config = PolynomialConfig(6, 300, 2, 2, confounded=True)
+        ds = generate_polynomial(config, np.random.default_rng(17))[0]
+        fit = fit_mechanisms(ds, psi, phi)
+        res = mint_test(ds, psi, phi, M=50, seed=17)
+        assert res.statistic == frobenius_statistic(fit.omegas, fit.gammas)
+
+    @pytest.mark.parametrize(
+        "psi,phi,match",
+        [
+            # Shared degree and intercept: psi is never built on its own.
+            (outcome_spec(1), outcome_spec(1), "expected a treatment_psi spec"),
+            (outcome_spec(1, interactions=True), outcome_spec(1), "treatment_psi"),
+            (treatment_spec(1), treatment_spec(1), "expected an outcome_phi spec"),
+            (outcome_spec(2), outcome_spec(1), "treatment_psi"),
+        ],
+    )
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_spec_of_the_wrong_kind_rejected(self, psi, phi, match, bootstrap):
+        ds = make_dataset(K=3, n=40, seed=2)
+        with pytest.raises(ValidationError, match=match):
+            mint_test(ds, psi, phi, M=5, use_bootstrap=bootstrap)
+        with pytest.raises(ValidationError, match=match):
+            fit_mechanisms(ds, psi, phi)
 
 
 def stacked(grams):
@@ -456,7 +512,7 @@ def test_negative_seed_rejected_before_any_work(monkeypatch, test):
     def no_work(*args):
         raise AssertionError("work started before the seed was checked")
 
-    monkeypatch.setattr(mint_module, "fit_mechanisms", no_work)
+    monkeypatch.setattr(mint_module, "_design_layout", no_work)
     monkeypatch.setattr(kernel_module, "_parameter_grams", no_work)
     ds = make_dataset()
     calls = {
