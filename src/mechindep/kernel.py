@@ -89,7 +89,12 @@ def resolve_bandwidth(spec: KernelSpec, rows: np.ndarray) -> KernelSpec:
 
     At most ``_BANDWIDTH_MAX_ROWS`` rows enter the pairwise computation; a
     larger input is subsampled without replacement from a stream seeded with
-    ``_BANDWIDTH_SEED``, so the resolution is deterministic.
+    ``_BANDWIDTH_SEED``, so the resolution is deterministic. The positive
+    squared distances above the diagonal, gathered row by row, are
+    partitioned once, and only the one or two middle values are square-rooted
+    and averaged as ``np.median`` averages them: ``sqrt`` is monotone and
+    correctly rounded, so this is the median distance bit for bit.
+    Coincident rows are left out; if all coincide, the bandwidth is 1.
     """
     if spec.kind == "linear" or not isinstance(spec.bandwidth, str):
         return spec
@@ -99,39 +104,43 @@ def resolve_bandwidth(spec: KernelSpec, rows: np.ndarray) -> KernelSpec:
         rng = np.random.default_rng(_BANDWIDTH_SEED)
         keep = rng.choice(n, size=_BANDWIDTH_MAX_ROWS, replace=False)
         rows = rows[np.sort(keep)]
-    sq = _squared_distances(rows, rows)
-    dists = np.sqrt(sq[np.triu_indices(rows.shape[0], k=1)])
-    positive = dists[dists > 0]
-    bandwidth = float(np.median(positive)) if positive.size else 1.0
-    return replace(spec, bandwidth=bandwidth)
-
-
-def _squared_distances(Xa: np.ndarray, Xb: np.ndarray) -> np.ndarray:
-    aa = np.sum(Xa * Xa, axis=1)[:, None]
-    bb = np.sum(Xb * Xb, axis=1)[None, :]
-    return np.clip(aa + bb - 2.0 * (Xa @ Xb.T), 0.0, None)
+    norms = np.sum(rows * rows, axis=1)
+    sq = norms[:, None] + norms[None, :]
+    sq -= 2.0 * (rows @ rows.T)
+    upper = np.concatenate([np.empty(0)] + [sq[i, i + 1 :] for i in range(len(sq) - 1)])
+    positive = upper[upper > 0]
+    if not positive.size:
+        return replace(spec, bandwidth=1.0)
+    k = positive.size // 2
+    positive.partition(k)  # an even count's lower middle is the largest before k
+    lower = positive[k] if positive.size % 2 else positive[:k].max()
+    bandwidth = (np.sqrt(lower) + np.sqrt(positive[k])) / 2
+    return replace(spec, bandwidth=float(bandwidth))
 
 
 def _kernel_rows(X: np.ndarray, spec: KernelSpec) -> tuple:
-    """Rows in the form :func:`_kernel_block` contracts: ``X`` itself for the
-    linear kernel; for RBF, ``Z = X / bandwidth`` and half its squared row
-    norms, computed once per input."""
+    """Left and right factors whose product :func:`_kernel_block` turns into
+    the kernel block: ``X`` and ``X`` for the linear kernel. For RBF, with
+    ``Z = X / bandwidth``, the left factor is ``[Z, -|z|^2 / 2, -1]`` and the
+    right factor ``[Z, 1, |z|^2 / 2]``, computed once per input."""
     if spec.kind == "linear":
-        return X, None
+        return X, X
     Z = X / spec.bandwidth
-    return Z, 0.5 * np.sum(Z * Z, axis=1)
+    half = 0.5 * np.sum(Z * Z, axis=1)[:, None]
+    ones = np.ones_like(half)
+    return np.hstack([Z, -half, -ones]), np.hstack([Z, ones, half])
 
 
-def _kernel_block(a: tuple, b: tuple) -> np.ndarray:
-    # exp(-||u - v||^2 / (2 h^2)) = exp(z_u . z_v - |z_u|^2 / 2 - |z_v|^2 / 2),
-    # built in the one n_a x n_b buffer; the exponent is clipped at 0 as the
-    # squared distance is clipped at 0.
-    (Za, half_a), (Zb, half_b) = a, b
-    out = Za @ Zb.T
-    if half_a is None:
+def _kernel_block(a: tuple, b: tuple, spec: KernelSpec) -> np.ndarray:
+    # For RBF, left_a @ right_b.T = z_a . z_b - |z_a|^2 / 2 - |z_b|^2 / 2, the
+    # exponent of exp(-||u - v||^2 / (2 h^2)), from one GEMM. Products with
+    # +-1 are exact, so where BLAS sums the inner dimension in order, each
+    # norm term is one rounded subtraction, as after a plain product. The
+    # exponent is clipped at 0 as the squared distance is clipped at 0, then
+    # exponentiated in place.
+    out = a[0] @ b[1].T
+    if spec.kind == "linear":
         return out
-    out -= half_a[:, None]
-    out -= half_b[None, :]
     np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)
 
@@ -153,7 +162,7 @@ def gram(Xa, Xb, spec: KernelSpec) -> np.ndarray:
         raise ValidationError(
             "rbf bandwidth is unresolved; call resolve_bandwidth first"
         )
-    return _kernel_block(_kernel_rows(Xa, spec), _kernel_rows(Xb, spec))
+    return _kernel_block(_kernel_rows(Xa, spec), _kernel_rows(Xb, spec), spec)
 
 
 # tr(G) >= lambda_max(G), so n * lambda >= this fraction of tr(G) keeps
@@ -218,12 +227,12 @@ def _model_gram(inputs: list, targets: list, spec: KernelSpec) -> np.ndarray:
     G = np.empty((K, K))
     duals = []
     for s in range(K):
-        block = _kernel_block(rows[s], rows[s])
+        block = _kernel_block(rows[s], rows[s], spec)
         duals.append(_stable_dual(block, targets[s], spec.ridge_lambda))
         G[s, s] = duals[s] @ block @ duals[s]
     for s in range(K):
         for t in range(s + 1, K):
-            G[s, t] = G[t, s] = duals[s] @ _kernel_block(rows[s], rows[t]) @ duals[t]
+            G[s, t] = G[t, s] = duals[s] @ _kernel_block(rows[s], rows[t], spec) @ duals[t]
     return G
 
 

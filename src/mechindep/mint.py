@@ -232,19 +232,28 @@ _CHUNK_ELEMENTS = 1 << 19
 _BINCOUNT_ELEMENTS = 1 << 15
 
 
-def _resampled_moments(rng: np.random.Generator, W: np.ndarray, out: np.ndarray) -> None:
+def _chunk_rows(M: int, n: int) -> int:
+    """Resamples of ``n`` rows in one bootstrap chunk."""
+    return max(1, min(M, _CHUNK_ELEMENTS // n))
+
+
+def _resampled_moments(
+    rng: np.random.Generator, W: np.ndarray, out: np.ndarray, buffer: np.ndarray
+) -> None:
     """Write ``counts @ W`` for ``len(out)`` bootstrap resamples of the rows of ``W``.
 
     Resample ``m`` draws ``n`` row indices with replacement; ``counts[m]``
     holds each row's multiplicity. Resamples are drawn in chunks of rows, so
-    only one chunk of counts exists at a time. Drawing the rows of a chunk in
-    one call consumes the stream exactly as one ``(M, n)`` draw would.
+    only one chunk of counts exists at a time, in the first
+    ``_chunk_rows(M, n) * n`` elements of the flat ``buffer``. Drawing the
+    rows of a chunk in one call consumes the stream exactly as one ``(M, n)``
+    draw would.
     """
     M, n = len(out), len(W)
-    rows = max(1, min(M, _CHUNK_ELEMENTS // n))
+    rows = _chunk_rows(M, n)
     group = max(1, min(rows, _BINCOUNT_ELEMENTS // n))
     offsets = (np.arange(group, dtype=np.int32) * n)[:, None]
-    counts = np.empty((rows, n))
+    counts = buffer[: rows * n].reshape(rows, n)
     for start in range(0, M, rows):
         r = min(rows, M - start)
         # int32 draws consume the generator exactly as int64 draws do.
@@ -284,11 +293,13 @@ def _fits_and_refits(
     refits = np.empty((M, K, z)), np.empty((M, K, z_out))
     # A row block of W of about _BINCOUNT_ELEMENTS bounds the gather's temporary.
     rows = max(1, _BINCOUNT_ELEMENTS // iu.size)
-    # The GEMM output and its transpose have one shape in every environment:
-    # allocated once, and freed on return, before the permutation stage
-    # builds its larger arrays. Allocated per environment, they doubled the
-    # page faults at the mint-flex shape.
+    # The GEMM output and its transpose have one shape in every environment,
+    # and one counts buffer holds any environment's chunk: allocated once,
+    # and freed on return, before the permutation stage builds its larger
+    # arrays. Allocated per environment, the moment buffers doubled the page
+    # faults at the mint-flex shape, and the counts chunk at mint-tall's.
     gemm_out, moments = np.empty((M, iu.size)), np.empty((iu.size, M))
+    counts = np.empty(max(_chunk_rows(M, n) * n for n in dataset.sizes))
     for s, block in enumerate(dataset.blocks):
         U = _build_design(block, psi_spec, phi_spec, layout)
         (omegas[s], _), (gammas[s], _) = _full_fit(U, layout)
@@ -297,7 +308,7 @@ def _fits_and_refits(
             np.take(U[r : r + rows], iu, axis=1, out=W[r : r + rows], mode="clip")
             W[r : r + rows] *= U[r : r + rows, ju]
         del U
-        _resampled_moments(rng, W, gemm_out)
+        _resampled_moments(rng, W, gemm_out, counts)
         del W  # freed before the next environment's U and W are built
         moments[:] = gemm_out.T
         for fits, (gram, rhs) in zip(refits, systems):

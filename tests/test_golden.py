@@ -1,4 +1,5 @@
-"""Golden values of fixed-seed ``mint_test`` calls at the acceptance shapes.
+"""Golden values of fixed-seed ``mint_test`` calls at the acceptance shapes,
+and of ``kernel_mint_test`` calls at the kernel benchmark's shape.
 
 Criterion 11 compares two runs of the same code, so it cannot see a drift
 that a change to the bootstrap introduces. This module can: it compares
@@ -61,8 +62,21 @@ CASES = {
     ),
 }
 
+# name -> (polynomial generator config, M, seed) of a ``kernel_mint_test``
+# with default (median-heuristic RBF) specs at the kernel-rbf benchmark's
+# per-environment shape. The treatment inputs have d = 1 and 2 columns, the
+# outcome inputs one more.
+KERNEL_CASES = {
+    "kernel_rbf_n200_d1": (mi.PolynomialConfig(8, 200), 1000, 18),
+    "kernel_rbf_n200_d2": (mi.PolynomialConfig(8, 200, 2), 1000, 19),
+}
+
 
 def run_case(name: str) -> mi.TestResult:
+    if name in KERNEL_CASES:
+        config, M, seed = KERNEL_CASES[name]
+        dataset, _ = mi.generate_polynomial(config, np.random.default_rng(seed))
+        return mi.kernel_mint_test(dataset, mi.KernelSpec(), mi.KernelSpec(), alpha=0.05, M=M, seed=seed)
     generator, config, features, M, seed = CASES[name]
     make = mi.generate_linear_example if generator == "linear_example" else mi.generate_polynomial
     dataset, _ = make(config, np.random.default_rng(seed))
@@ -78,7 +92,7 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(CASES | KERNEL_CASES))
 def test_matches_golden(name, golden):
     result = run_case(name)
     expected = golden[name]
@@ -89,12 +103,12 @@ def test_matches_golden(name, golden):
 
 
 def test_cases_and_file_agree(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden) == sorted(CASES | KERNEL_CASES)
 
 
 if __name__ == "__main__":
     records = {}
-    for name in CASES:
+    for name in CASES | KERNEL_CASES:
         result = run_case(name)
         records[name] = {
             "statistic": result.statistic,

@@ -14,7 +14,13 @@ from mechindep import (
     least_squares_fit,
     resolve_bandwidth,
 )
-from mechindep.kernel import EXPERIMENTAL_WARNING, _parameter_grams, _stable_dual
+from mechindep.kernel import (
+    _BANDWIDTH_MAX_ROWS,
+    _BANDWIDTH_SEED,
+    EXPERIMENTAL_WARNING,
+    _parameter_grams,
+    _stable_dual,
+)
 from mechindep.mint import SMALL_K_WARNING
 
 LINEAR = KernelSpec(kind="linear", ridge_lambda=1e-8)
@@ -104,6 +110,42 @@ class TestGram:
             np.testing.assert_allclose(G, G.T, atol=1e-12)
             assert np.linalg.eigvalsh(G).min() >= -1e-10 * max(np.abs(G).max(), 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rbf_matches_explicit_differences(self, d):
+        rng = np.random.default_rng(20 + d)
+        Xa, Xb = rng.normal(size=(37, d)), rng.normal(size=(23, d))
+        h = 0.8
+        G = gram(Xa, Xb, KernelSpec(kind="rbf", bandwidth=h))
+        want = np.exp(-((Xa[:, None] - Xb[None]) ** 2).sum(-1) / (2 * h**2))
+        np.testing.assert_allclose(G, want, rtol=1e-12, atol=0.0)
+        assert G.min() >= 0.0 and G.max() <= 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rbf_self_gram_diagonal(self, d):
+        # The exponent of entry (i, i) is z . z - |z|^2 / 2 - |z|^2 / 2, a
+        # d + 2 term dot product whose terms sum to 2 |z|^2 in magnitude. At
+        # d = 1 both z . z and |z|^2 are one rounded product, so it is exactly
+        # 0. At d >= 2 BLAS may fuse the additions of z . z, which the
+        # separately summed norm does not, so the exponent is a rounding error
+        # within the dot product's bound (d + 2) * eps * 2 |z|^2, and never
+        # positive after the clip.
+        rng = np.random.default_rng(30 + d)
+        X = rng.normal(size=(200, d)) * 3.0
+        h = 0.7
+        diag = np.diag(gram(X, X, KernelSpec(kind="rbf", bandwidth=h)))
+        assert diag.max() <= 1.0
+        if d == 1:
+            np.testing.assert_array_equal(diag, 1.0)
+        else:
+            bound = (d + 2) * np.finfo(float).eps * 2 * np.sum((X / h) ** 2, axis=1)
+            assert np.all(1.0 - diag <= bound)
+
+    def test_linear_is_the_plain_product(self):
+        rng = np.random.default_rng(16)
+        Xa, Xb = rng.normal(size=(31, 3)), rng.normal(size=(17, 3))
+        np.testing.assert_array_equal(gram(Xa, Xb, LINEAR), Xa @ Xb.T)
+        np.testing.assert_array_equal(gram(Xa, Xa, LINEAR), Xa @ Xa.T)
+
     def test_median_heuristic_resolution_deterministic(self):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(2000, 2))
@@ -111,6 +153,44 @@ class TestGram:
         b = resolve_bandwidth(KernelSpec(kind="rbf"), rows)
         assert a.bandwidth == b.bandwidth
         assert a.bandwidth > 0
+
+
+def reference_bandwidth(rows):
+    """Median of the positive strict-upper-triangle distances, taken as
+    ``np.median`` of all their square roots."""
+    if len(rows) > _BANDWIDTH_MAX_ROWS:
+        keep = np.random.default_rng(_BANDWIDTH_SEED).choice(
+            len(rows), size=_BANDWIDTH_MAX_ROWS, replace=False
+        )
+        rows = rows[np.sort(keep)]
+    norms = np.sum(rows * rows, axis=1)
+    sq = np.clip(norms[:, None] + norms[None, :] - 2.0 * (rows @ rows.T), 0.0, None)
+    dists = np.sqrt(sq[np.triu_indices(len(rows), 1)])
+    positive = dists[dists > 0]
+    return float(np.median(positive)) if positive.size else 1.0, positive.size
+
+
+class TestMedianHeuristic:
+    # (rows, copies of row 0, parity of the positive-distance count). Here
+    # the copies' distances round to 0 and are dropped, as the parity shows;
+    # past _BANDWIDTH_MAX_ROWS rows the subsample path runs.
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize(
+        "n, copies, parity",
+        [(5, 0, 0), (6, 0, 1), (200, 50, 1), (200, 52, 0), (1500, 0, 0), (1500, 301, 1)],
+    )
+    def test_equals_median_of_all_distances(self, d, n, copies, parity):
+        rows = np.random.default_rng(40 + d).normal(size=(n, d))
+        rows[1:copies] = rows[0]
+        want, count = reference_bandwidth(rows)
+        assert count % 2 == parity
+        assert resolve_bandwidth(KernelSpec(), rows).bandwidth == want
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_identical_rows_give_unit_bandwidth(self, d):
+        rows = np.full((7, d), 3.2)
+        assert reference_bandwidth(rows) == (1.0, 0)
+        assert resolve_bandwidth(KernelSpec(), rows).bandwidth == 1.0
 
 
 class TestKernelDual:
