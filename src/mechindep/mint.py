@@ -11,12 +11,12 @@ breaks any pairing while preserving estimation noise.
 One pass over the environments (``_fits_and_refits``) fits both models on
 each environment's design and refits them on its bootstrap resamples by the
 normal equations weighted by the resample multiplicity counts, with the
-Grams of all M resamples from one GEMM per environment. Their M systems are
-solved by one Cholesky loop vectorized over them, whose rank screen is the
-pivoted-Cholesky criterion (LAPACK ``?pstrf``; Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 10): a resample whose Gram, scaled
-to unit diagonal, has a pivot at or below ``_PIVOT_TOL = 1e-10`` is refit
-with ridge jitter. ``_equilibrated_batch_solve`` gives the sweep behind it.
+Grams of all M resamples from one GEMM per environment. One Cholesky factor
+of the Gram of ``[X | t]``, the R of its QR (Golub & Van Loan, *Matrix
+Computations*, 5.3), vectorized over the M resamples, fits every model on
+leading columns of the design. Its rank screen is the pivoted-Cholesky
+criterion (LAPACK ``?pstrf``; Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 10); the README gives the sweep behind ``_PIVOT_TOL``.
 """
 
 from __future__ import annotations
@@ -169,58 +169,56 @@ def _calibrated_result(
     )
 
 
-def _equilibrated_cholesky(grams: np.ndarray):
-    """Cholesky factors (lower triangles) of the Grams scaled to unit diagonal.
+def _cholesky_fits(fac: np.ndarray, targets) -> tuple[list, np.ndarray]:
+    """Fit column k on columns :k of the (q, q, M) Grams in ``fac``, for each k in ``targets``.
 
-    Returns the factors, the (m, M) scales and the mask of systems with a
-    pivot at or below ``_PIVOT_TOL``; such pivots are set to 1 to stay finite.
+    Scales the lower triangles to unit diagonal and factors them in place:
+    pivot j is the squared distance of column j from the span of those
+    before it, and row k holds the forward-substituted right-hand side, so a
+    fit is ``D^-1 L[:k, :k]^-T (s_k L[k, :k])`` (``D``, ``s``: the scales).
+    Also returns each system's first pivot at or below ``_PIVOT_TOL``, else
+    q - 1; such pivots are set to 1 to stay finite. The last is not formed.
     """
-    idx = np.arange(grams.shape[0])
-    scale = np.sqrt(np.clip(grams[idx, idx], 0.0, None))
+    idx = np.arange(len(fac))
+    scale = np.sqrt(np.clip(fac[idx, idx], 0.0, None))
     scale[scale == 0.0] = 1.0
-    fac = grams / (scale[:, None] * scale[None, :])
-    flagged = np.zeros(grams.shape[2], dtype=bool)
-    for j in idx:  # left-looking: column j from the finished columns before it
+    first_low = np.full(fac.shape[2], len(fac) - 1)
+    for j in idx:
+        fac[j, : j + 1] /= scale[j] * scale[: j + 1]
+    for j in idx[:-1]:  # left-looking: column j from the finished columns before it
         fac[j:, j] -= np.einsum("ikm,km->im", fac[j:, :j], fac[j, :j])
         low = fac[j, j] <= _PIVOT_TOL
-        flagged |= low
+        first_low[low & (first_low > j)] = j
         fac[j, j] = np.sqrt(np.where(low, 1.0, fac[j, j]))
         fac[j + 1 :, j] /= fac[j, j]
-    return fac, scale, flagged
+    fits = []
+    for k in targets:
+        x = fac[k, :k] * scale[k]
+        for j in reversed(range(k)):  # back substitution, L' x = y
+            x[j] -= np.einsum("km,km->m", fac[j + 1 : k, j], x[j + 1 :])
+            x[j] /= fac[j, j]
+        fits.append(x / scale[:k])
+    return fits, first_low
 
 
-def _equilibrated_batch_solve(
-    grams: np.ndarray, rhs: np.ndarray, ridge_jitter: float
-) -> np.ndarray:
-    """Solve (m, m, M) normal equations with (m, M) right-hand sides, screening rank.
-
-    Each step is one numpy operation over the M systems on the last axis.
-    Pivot j of a Gram scaled to unit diagonal is the squared distance of
-    column j from the span of the columns before it, so a dependent column
-    gives a zero pivot up to rounding. A system with a pivot at most
-    ``_PIVOT_TOL`` gets a ridge of ``ridge_jitter * mean(diag(Gram))`` and is
-    factored again. Sweeping the tolerance over 1e-14..1e-6: with 4
-    environments of 100 rows whose x takes 11 values, one once (degree-10
-    features, M = 1000), the 1,470 of 4,000 resamples missing a value have
-    pivots <= 1.1e-14 and the rest >= 1.6e-7. At the mint-flex shape (K = 20,
-    n = 100, degree-10 features, M = 1000, data seeds 1-3), 1e-10 flags 7-24
-    of 20,000 systems per model, 1e-9 flags 156-281 and 1e-12 none.
-    """
-    fac, scale, flagged = _equilibrated_cholesky(grams)
-    if np.any(flagged):
-        idx = np.arange(grams.shape[0])
-        sub = grams[:, :, flagged]
-        lam = ridge_jitter * sub[idx, idx].mean(axis=0)
-        sub[idx, idx] += np.where(lam > 0.0, lam, np.finfo(float).tiny)
-        fac[:, :, flagged], scale[:, flagged], _ = _equilibrated_cholesky(sub)
-    x = rhs / scale
-    for j in range(len(x)):  # forward substitution, L y = b
-        x[j] -= np.einsum("km,km->m", fac[j, :j], x[:j])
-        x[j] /= fac[j, j]
-    for j in reversed(range(len(x))):  # back substitution, L' x = y
-        x[j] -= np.einsum("km,km->m", fac[j + 1 :, j], x[j + 1 :])
-        x[j] /= fac[j, j]
-    return x / scale
+def _augmented_fits(moments: np.ndarray, entries: np.ndarray, targets, fac: np.ndarray) -> list:
+    """:func:`_cholesky_fits` in the buffer ``fac`` of the Grams whose entry (i, j) is row
+    ``entries[i, j]`` of ``moments``. A model with a low pivot before its target k is
+    refit alone from its (k + 1) block, its k diagonal entries raised by ``_RIDGE_JITTER
+    * mean``; a target in the span of its features is a perfect fit, not a deficiency."""
+    fac = fac[: len(entries), : len(entries)]
+    for i, row in enumerate(entries):  # "clip" skips take's buffered copy
+        np.take(moments, row[: i + 1], axis=0, out=fac[i, : i + 1], mode="clip")
+    fits, first_low = _cholesky_fits(fac, targets)
+    for k, x in zip(targets, fits):
+        ridged = first_low < k
+        if np.any(ridged):
+            sub = moments[:, ridged][entries[: k + 1, : k + 1]]
+            diag = np.arange(k)
+            lam = _RIDGE_JITTER * sub[diag, diag].mean(axis=0)
+            sub[diag, diag] += np.where(lam > 0.0, lam, np.finfo(float).tiny)
+            x[:, ridged] = _cholesky_fits(sub, (k,))[0][0]
+    return fits
 
 
 # Rows of one bootstrap chunk hold about this many resample counts, so the
@@ -278,27 +276,30 @@ def _fits_and_refits(
     """Full-data fits and all M bootstrap refits, one environment at a time.
 
     Returns the (K, z) and (K, z') full-data fits, as :func:`fit_mechanisms`
-    gives them, then the (M, K, z) and (M, K, z') refits. Both models' Grams
-    and right-hand sides are entries of one moment matrix: ``W`` holds the
-    upper-triangle column products ``U_i * U_j`` of the design and ``counts
-    @ W`` gives every entry in one GEMM. The peak is one ``W`` plus a few MB.
+    gives them, then the (M, K, z) and (M, K, z') refits. Every Gram entry is
+    a row of one moment matrix: ``W`` holds the column products ``U_i *
+    U_j`` of the design and ``counts @ W`` gives them in one GEMM. Shared
+    specs factor the Gram of ``U = [phi | Y]``, whose leading block is that
+    of ``[psi | A]``, once for both models; split specs factor the two.
     """
     psi, phi, a, y = layout = _design_layout(dataset, psi_spec, phi_spec)
     K, z, z_out = dataset.n_envs, psi.stop, phi.stop - phi.start
     iu, ju = np.triu_indices(y + 1)
     pos = np.empty((y + 1, y + 1), dtype=np.intp)  # the column of W holding U_i * U_j
     pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
-    systems = (pos[psi, psi], pos[psi, a]), (pos[phi, phi], pos[phi, y])
+    shared = [(np.r_[phi, y], [z, z_out])]  # [psi | A] is the leading block
+    groups = [(np.r_[psi, a], [z]), (np.r_[phi, y], [z_out])] if phi.start else shared
     omegas, gammas = np.empty((K, z)), np.empty((K, z_out))
     refits = np.empty((M, K, z)), np.empty((M, K, z_out))
     # A row block of W of about _BINCOUNT_ELEMENTS bounds the gather's temporary.
     rows = max(1, _BINCOUNT_ELEMENTS // iu.size)
-    # The GEMM output and its transpose have one shape in every environment,
-    # and one counts buffer holds any environment's chunk: allocated once,
-    # and freed on return, before the permutation stage builds its larger
-    # arrays. Allocated per environment, the moment buffers doubled the page
-    # faults at the mint-flex shape, and the counts chunk at mint-tall's.
+    # The moment and factor buffers have one shape in every environment, and
+    # one counts buffer holds any environment's chunk: allocated once, and
+    # freed on return, before the permutation stage builds its larger arrays.
+    # Allocated per environment, the moment buffers doubled the page faults
+    # at the mint-flex shape, and the counts chunk at mint-tall's.
     gemm_out, moments = np.empty((M, iu.size)), np.empty((iu.size, M))
+    fac = np.empty((y + 1, y + 1, M))
     counts = np.empty(max(_chunk_rows(M, n) * n for n in dataset.sizes))
     for s, block in enumerate(dataset.blocks):
         U = _build_design(block, psi_spec, phi_spec, layout)
@@ -311,10 +312,9 @@ def _fits_and_refits(
         _resampled_moments(rng, W, gemm_out, counts)
         del W  # freed before the next environment's U and W are built
         moments[:] = gemm_out.T
-        for fits, (gram, rhs) in zip(refits, systems):
-            fits[:, s, :] = _equilibrated_batch_solve(
-                moments[gram], moments[rhs], _RIDGE_JITTER
-            ).T
+        fits = [_augmented_fits(moments, pos[np.ix_(c, c)], ks, fac) for c, ks in groups]
+        for refit, x in zip(refits, sum(fits, [])):
+            refit[:, s, :] = x.T
     return omegas, gammas, *refits
 
 

@@ -4,13 +4,18 @@ import pytest
 from mechindep import (
     EnvironmentBlock,
     MultiEnvDataset,
+    PolynomialConfig,
     RankDeficientError,
     ValidationError,
+    build_outcome_features,
+    build_treatment_features,
     fit_mechanisms,
+    generate_polynomial,
     least_squares_fit,
     outcome_spec,
     treatment_spec,
 )
+from mechindep.estimation import _build_design, _design_layout
 
 
 class TestLeastSquaresFit:
@@ -165,3 +170,58 @@ class TestFitMechanisms:
                 )
             errors[n] = worst
         assert errors[80000] < errors[2000]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestDesignLayout:
+    """The column positions that the bootstrap's augmented Grams rely on."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_polynomial(PolynomialConfig(3, 40, 2, 2), np.random.default_rng(30))[0]
+
+    def assert_columns(self, dataset, psi, phi, layout):
+        z = psi.output_dim(dataset.d)
+        for block in dataset.blocks:
+            U = _build_design(block, psi, phi, layout)
+            assert U.shape[1] == layout.y_col + 1
+            np.testing.assert_array_equal(bits(U[:, :z]), bits(build_treatment_features(block.X, psi)))
+            phi_cols = build_outcome_features(block.X, block.A, phi)
+            np.testing.assert_array_equal(bits(U[:, layout.phi]), bits(phi_cols))
+            np.testing.assert_array_equal(bits(U[:, layout.a_col]), bits(block.A))
+            np.testing.assert_array_equal(bits(U[:, layout.y_col]), bits(block.Y))
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("interactions", [True, False])
+    @pytest.mark.parametrize("square", [True, False])
+    def test_shared_specs_lead_with_psi_then_a(self, dataset, degree, intercept, interactions, square):
+        # U = [phi | Y]: its first z columns are psi and column z is A, so
+        # [psi | A] is the leading block of [phi | Y].
+        psi = treatment_spec(degree, include_intercept=intercept)
+        phi = outcome_spec(degree, intercept, interactions, square)
+        layout = _design_layout(dataset, psi, phi)
+        z = psi.output_dim(dataset.d)
+        assert layout.psi == slice(z) and layout.phi == slice(0, phi.output_dim(dataset.d))
+        assert layout.a_col == z and layout.y_col == layout.phi.stop
+        self.assert_columns(dataset, psi, phi, layout)
+
+    @pytest.mark.parametrize(
+        "psi,phi",
+        [
+            (treatment_spec(2, include_intercept=False), outcome_spec(1)),
+            (treatment_spec(1), outcome_spec(2, interactions=True)),
+            (treatment_spec(3), outcome_spec(3, include_intercept=False, square=True)),
+        ],
+    )
+    def test_split_specs_are_psi_phi_then_y(self, dataset, psi, phi):
+        # U = [psi | phi | Y], with A after phi's intercept and powers.
+        layout = _design_layout(dataset, psi, phi)
+        z, z_out = psi.output_dim(dataset.d), phi.output_dim(dataset.d)
+        assert layout.psi == slice(z) and layout.phi == slice(z, z + z_out)
+        assert layout.a_col == z + phi.include_intercept + dataset.d * phi.degree
+        assert layout.y_col == z + z_out
+        self.assert_columns(dataset, psi, phi, layout)

@@ -399,45 +399,119 @@ class TestOnePass:
             fit_mechanisms(ds, psi, phi)
 
 
-def stacked(grams):
-    """(M, m, m) Grams -> the solver's (m, m, M) layout."""
-    return np.ascontiguousarray(np.moveaxis(grams, 0, -1))
+def augmented_fits(design, targets):
+    """``_augmented_fits`` on the Grams of the (M, n, q) augmented designs.
+
+    The Grams are packed as ``_fits_and_refits`` packs them: row ``entries[i,
+    j]`` of the (P, M) moments holds entry (i, j). Returns the (M, k) fits.
+    """
+    M, _, q = design.shape
+    grams = design.transpose(0, 2, 1) @ design
+    iu, ju = np.triu_indices(q)
+    entries = np.empty((q, q), dtype=np.intp)
+    entries[iu, ju] = entries[ju, iu] = np.arange(iu.size)
+    moments = np.ascontiguousarray(grams[:, iu, ju].T)
+    # A buffer larger than the Grams, as split specs pass for [psi | A].
+    fits = mint_module._augmented_fits(moments, entries, targets, np.empty((q + 2, q + 2, M)))
+    return [x.T for x in fits]
 
 
-class TestEquilibratedBatchSolve:
+def first_low_pivots(design):
+    """Each system's first low pivot, as ``_cholesky_fits`` reports it."""
+    fac = np.ascontiguousarray(np.moveaxis(design.transpose(0, 2, 1) @ design, 0, -1))
+    return mint_module._cholesky_fits(fac, ())[1]
+
+
+def ridged_solve(design, k, jitter, ridged=True):
+    """Reference (M, k) fits of column k on columns :k, ridged as documented:
+    ``jitter * mean(diag)`` of the k feature entries added to their diagonal."""
+    X, t = design[:, :, :k], design[:, :, k]
+    gram = X.transpose(0, 2, 1) @ X
+    lam = jitter * np.einsum("mii->m", gram) / k
+    gram = gram + np.where(ridged, lam, 0.0)[:, None, None] * np.eye(k)
+    return np.linalg.solve(gram, np.einsum("mni,mn->mi", X, t)[:, :, None])[:, :, 0]
+
+
+class TestAugmentedFits:
     def test_matches_numpy_solve_on_well_conditioned_systems(self):
+        # One factor of the Gram of [X | a | V | y] fits a on X and y on
+        # [X | a | V], as shared specs fit both models.
         rng = np.random.default_rng(20)
         for m, M in ((1, 5), (4, 50), (12, 200)):
-            X = rng.normal(size=(M, 3 * m, m))
-            grams = X.transpose(0, 2, 1) @ X
-            rhs = rng.normal(size=(M, m))
-            got = mint_module._equilibrated_batch_solve(stacked(grams), rhs.T.copy(), 1e-8)
-            want = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]
-            np.testing.assert_allclose(got.T, want, rtol=1e-12, atol=0.0)
+            design = rng.normal(size=(M, 3 * m + 6, m + 3))
+            fits = augmented_fits(design, (m, m + 2))
+            for k, got in zip((m, m + 2), fits):
+                want = ridged_solve(design, k, 0.0, ridged=False)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
-    def test_flags_exactly_the_singular_systems_and_jitters_them(self):
-        # Regular Grams interleaved with Grams of a duplicated and of a zero
-        # column; the singular ones are solved as G + lambda I with
-        # lambda = ridge_jitter * mean(diag(G)). G + lambda I has condition
-        # ~1 / ridge_jitter, so a larger ridge than mint's 1e-8 keeps the
-        # reference solution accurate well beyond rtol.
+    def test_flags_exactly_the_singular_systems_and_jitters_them(self, monkeypatch):
+        # Regular designs interleaved with designs of a duplicated and of a
+        # zero feature column; the singular ones are solved as G + lambda I
+        # with lambda = ridge_jitter * mean(diag(G)). G + lambda I has
+        # condition ~1 / ridge_jitter, so a larger ridge than mint's 1e-8
+        # keeps the reference solution accurate well beyond rtol.
         rng = np.random.default_rng(21)
         m, M, jitter = 6, 30, 1e-6
-        X = rng.normal(size=(M, 40, m))
-        X[1::3, :, 4] = X[1::3, :, 1]
-        X[2::3, :, 3] = 0.0
+        design = rng.normal(size=(M, 40, m + 1))
+        design[1::3, :, 4] = design[1::3, :, 1]
+        design[2::3, :, 3] = 0.0
         singular = np.arange(M) % 3 != 0
-        grams = X.transpose(0, 2, 1) @ X
-        rhs = np.einsum("kni,kn->ki", X, rng.normal(size=(M, 40)))
-        _, _, flagged = mint_module._equilibrated_cholesky(stacked(grams))
-        np.testing.assert_array_equal(flagged, singular)
-        got = mint_module._equilibrated_batch_solve(stacked(grams), rhs.T.copy(), jitter).T
+        np.testing.assert_array_equal(first_low_pivots(design), np.tile([m, 4, 3], M // 3))
+        monkeypatch.setattr(mint_module, "_RIDGE_JITTER", jitter)
+        (got,) = augmented_fits(design, (m,))
         assert np.all(np.isfinite(got))
-        lam = jitter * np.einsum("kii->k", grams) / m
-        ridged = grams + np.where(singular, lam, 0.0)[:, None, None] * np.eye(m)
-        want = np.linalg.solve(ridged, rhs[:, :, None])[:, :, 0]
+        want = ridged_solve(design, m, jitter, singular)
         np.testing.assert_allclose(got[~singular], want[~singular], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got[singular], want[singular], rtol=1e-8, atol=0.0)
+
+    def test_target_in_the_span_of_its_features_is_an_exact_fit(self):
+        # A zero residual is the target's pivot, which is never screened:
+        # the fit is not ridged, so it recovers the coefficients exactly.
+        rng = np.random.default_rng(22)
+        m, M = 5, 40
+        X = rng.normal(size=(M, 30, m))
+        beta = rng.normal(size=(M, m))
+        design = np.concatenate([X, np.einsum("mni,mi->mn", X, beta)[:, :, None]], axis=2)
+        np.testing.assert_array_equal(first_low_pivots(design), m)
+        (got,) = augmented_fits(design, (m,))
+        np.testing.assert_allclose(got, beta, rtol=1e-10, atol=1e-12)
+
+    def test_low_pivot_at_the_shared_target_ridges_only_the_outcome_model(self, monkeypatch):
+        # Every 2nd system has a in the span of X: its only low pivot is at
+        # a's column z, so the treatment fit (a on X) is the unridged solve
+        # and only the outcome fit (y on [X | a]) gets the ridge.
+        rng = np.random.default_rng(23)
+        z, M, jitter = 4, 20, 1e-6
+        design = rng.normal(size=(M, 30, z + 2))
+        design[::2, :, z] = design[::2, :, :z] @ rng.normal(size=z)
+        in_span = np.arange(M) % 2 == 0
+        np.testing.assert_array_equal(first_low_pivots(design), np.where(in_span, z, z + 1))
+        monkeypatch.setattr(mint_module, "_RIDGE_JITTER", jitter)
+        treatment, outcome = augmented_fits(design, (z, z + 1))
+        np.testing.assert_allclose(
+            treatment, ridged_solve(design, z, 0.0, ridged=False), rtol=1e-10, atol=1e-12
+        )
+        want = ridged_solve(design, z + 1, jitter, in_span)
+        np.testing.assert_allclose(outcome[~in_span], want[~in_span], rtol=1e-12, atol=0.0)
+        # The ridge splits a's share among a and X, leaving a's coefficient
+        # ~1e-3 of the others, so it is checked relative to the largest one.
+        err = np.abs(outcome[in_span] - want[in_span]).max(axis=1)
+        assert np.all(err <= 1e-8 * np.abs(want[in_span]).max(axis=1))
+
+    def test_low_pivot_before_the_shared_target_ridges_both_models(self, monkeypatch):
+        # A zero feature column before z: each model is refit from its own
+        # leading block with its own mean-diagonal ridge.
+        rng = np.random.default_rng(24)
+        z, M, jitter = 4, 20, 1e-6
+        design = rng.normal(size=(M, 30, z + 2))
+        design[::2, :, 1] = 0.0
+        low = np.arange(M) % 2 == 0
+        np.testing.assert_array_equal(first_low_pivots(design), np.where(low, 1, z + 1))
+        monkeypatch.setattr(mint_module, "_RIDGE_JITTER", jitter)
+        for k, got in zip((z, z + 1), augmented_fits(design, (z, z + 1))):
+            want = ridged_solve(design, k, jitter, low)
+            np.testing.assert_allclose(got[~low], want[~low], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(got[low], want[low], rtol=1e-8, atol=0.0)
 
     def test_singleton_x_resamples_are_jittered(self):
         # x takes 11 values, one of them once, so about a third of the
