@@ -10,14 +10,18 @@ at ``lambda = 1e-8``, as in acceptance criterion 9) a direct solve would give
 the dual a ``||target|| / (n*lambda)`` null-space component whose rounding
 noise the Gram contractions amplify. Parameter inner products across
 environments are then available through cross-Gram matrices,
-``omega_s . omega_t = c_s' k(X_s, X_t) c_t``, which is enough to evaluate the
-cross-covariance statistic via its Gram-trace form
+``omega_s . omega_t = c_s' k(X_s, X_t) c_t``. Each K x K parameter Gram is
+factored once, ``G = F F'`` with ``F = V[:, w > 0] * sqrt(w[w > 0])`` from
+its ``eigh``, so row s of F stands for environment s's parameter: the
+explicit-feature statistic on the rows of ``Fw`` and ``Fg`` is the
+Gram-trace form
 
-    T = (1/K) * sqrt(tr((H Gw H) (H Gg H))),   H = I - ones/K.
+    T = (1/K) * sqrt(tr((H Gw H) (H Gg H))),   H = I - ones/K,
 
-Calibration is permutation-only (the treatment-side Gram is permuted); no
-bootstrap analogue is defined for dual solutions, so results carry an
-"experimental" warning.
+and permuting the rows of ``Fw`` permutes the rows and columns of ``Gw``.
+Calibration is permutation-only, through the explicit-feature test's
+permutation core; no bootstrap analogue is defined for dual solutions, so
+results carry an "experimental" warning.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from .errors import NumericalError, ValidationError
 from .mint import (
     METHOD_KERNEL_MINT,
     TestResult,
-    _calibrated_result,
     _check_draws,
+    _permutation_result,
     _random_permutations,
+    frobenius_statistic,
 )
 
 MEDIAN_HEURISTIC = "median_heuristic"
@@ -221,14 +226,6 @@ def _stable_dual(G: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
     return basis @ ((basis.T @ target) / (w[keep] + ridge))
 
 
-def _double_center(G: np.ndarray) -> np.ndarray:
-    # H G H with H = I - ones/K.
-    row = G.mean(axis=-1, keepdims=True)
-    col = G.mean(axis=-2, keepdims=True)
-    total = G.mean(axis=(-2, -1), keepdims=True)
-    return G - row - col + total
-
-
 def _model_gram(inputs: list, targets: list, spec: KernelSpec) -> np.ndarray:
     """K x K inner products of one working model's implicit parameters.
 
@@ -262,10 +259,16 @@ def _parameter_grams(
     return Gw, Gg
 
 
-def _statistic_from_grams(Gw: np.ndarray, Gg_centered: np.ndarray) -> float:
-    K = Gw.shape[-1]
-    value = np.einsum("...ij,...ji->...", _double_center(Gw), Gg_centered)
-    return np.sqrt(np.clip(value, 0.0, None)) / K
+def _parameter_factors(
+    dataset: MultiEnvDataset, k_spec: KernelSpec, h_spec: KernelSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row factors ``F``, ``F F' = G``, of both parameter Grams, from the
+    eigenpairs of positive eigenvalue; a zero Gram has no column."""
+    factors = []
+    for G in _parameter_grams(dataset, k_spec, h_spec):
+        w, V = np.linalg.eigh(G)
+        factors.append(V[:, w > 0] * np.sqrt(w[w > 0]))
+    return tuple(factors)
 
 
 def kernel_statistic(
@@ -273,12 +276,12 @@ def kernel_statistic(
 ) -> float:
     """Cross-covariance statistic computed entirely from Gram matrices.
 
-    With linear kernels and vanishing ridge this equals the explicit-feature
-    statistic built from least-squares coefficients on raw ``X`` and
-    ``[X, A]`` designs.
+    It is the explicit-feature statistic on the rows of the parameter
+    Grams' factors. With linear kernels and vanishing ridge this equals the
+    explicit-feature statistic built from least-squares coefficients on raw
+    ``X`` and ``[X, A]`` designs.
     """
-    Gw, Gg = _parameter_grams(dataset, k_spec, h_spec)
-    return float(_statistic_from_grams(Gw, _double_center(Gg)))
+    return frobenius_statistic(*_parameter_factors(dataset, k_spec, h_spec))
 
 
 def kernel_mint_test(
@@ -291,23 +294,17 @@ def kernel_mint_test(
 ) -> TestResult:
     """Permutation-calibrated independence test on the kernel statistic.
 
-    The null draws permute the environment index set on the treatment side
-    (simultaneous row/column permutation of its parameter Gram matrix);
-    threshold and p-value follow the explicit-feature test. The result is
-    fixed bit for bit by ``seed`` at a given BLAS thread count.
+    The null draws permute the environment index set on the treatment side:
+    the rows of its parameter Gram's factor, which is the simultaneous
+    row/column permutation of that Gram. The permutations come from
+    ``SeedSequence(seed)``; threshold and p-value follow the
+    explicit-feature test. The result is fixed bit for bit by ``seed`` at a
+    given BLAS thread count.
     """
-    _check_draws(M, seed)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    K = dataset.n_envs
-    Gw, Gg = _parameter_grams(dataset, k_spec, h_spec)
-    Gg_centered = _double_center(Gg)
-    statistic = float(_statistic_from_grams(Gw, Gg_centered))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    perms = _random_permutations(rng, M, K)
-    permuted = Gw[perms[:, :, None], perms[:, None, :]]
-    null_samples = np.asarray(_statistic_from_grams(permuted, Gg_centered))
-    return _calibrated_result(
-        statistic, null_samples, alpha, seed, METHOD_KERNEL_MINT, K,
+    _check_draws(M, seed, alpha)
+    Fw, Fg = _parameter_factors(dataset, k_spec, h_spec)
+    perms = _random_permutations(np.random.SeedSequence(seed), M, dataset.n_envs)
+    return _permutation_result(
+        frobenius_statistic(Fw, Fg), Fw, Fg, perms, alpha, seed, METHOD_KERNEL_MINT,
         warnings=(EXPERIMENTAL_WARNING,),
     )

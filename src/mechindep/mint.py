@@ -6,7 +6,9 @@ across environments, using the scaled Frobenius norm of their empirical
 cross-covariance as the statistic. The rejection threshold is calibrated by
 re-estimating on within-environment bootstrap resamples and randomly
 permuting the environment index of the treatment-side parameters, which
-breaks any pairing while preserving estimation noise.
+breaks any pairing while preserving estimation noise. One permutation core,
+``_permutation_result``, draws the null statistics and calibrates all three
+resampling tests: this one, ``permutation_test`` and the kernel variant.
 
 One pass over the environments (``_fits_and_refits``) fits both models on
 each environment's design and refits them on its bootstrap resamples by the
@@ -102,14 +104,15 @@ def frobenius_statistic(omegas, gammas) -> float:
         raise ValidationError(f"need at least 2 environments, got {K}")
     # The null draws' computation, so an identity permutation reproduces
     # the statistic bit for bit.
-    return float(_batched_statistic(omegas[None], gammas[None])[0])
+    return float(_batched_statistic(omegas[None], gammas)[0])
 
 
 def _batched_statistic(omegas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    # omegas (M, K, z), gammas (M, K, z') -> (M,) statistics.
+    # omegas (M, K, z), gammas (M, K, z') or one (K, z') for all draws,
+    # centred once -> (M,) statistics.
     K = omegas.shape[1]
     oc = omegas - omegas.mean(axis=1, keepdims=True)
-    gc = gammas - gammas.mean(axis=1, keepdims=True)
+    gc = gammas - gammas.mean(axis=-2, keepdims=True)
     cross = np.matmul(oc.transpose(0, 2, 1), gc)
     return np.sqrt(np.einsum("mij,mij->m", cross, cross)) / K
 
@@ -135,38 +138,6 @@ def calibrate_threshold(null_samples, alpha: float) -> float:
             return float(t)
         idx += 1
     return float(ordered[-1])
-
-
-def _calibrated_result(
-    statistic: float,
-    null_samples: np.ndarray,
-    alpha: float,
-    seed: int,
-    method: str,
-    K: int,
-    warnings: tuple[str, ...] = (),
-) -> TestResult:
-    """Threshold, add-one p-value and rejection of a resampling test.
-
-    Shared by every test calibrated on resampled null statistics; the K=2
-    warning is appended to ``warnings``.
-    """
-    M = len(null_samples)
-    threshold = calibrate_threshold(null_samples, alpha)
-    # Add-one Monte Carlo estimate; never exactly zero.
-    exceed = np.count_nonzero(null_samples >= statistic)
-    return TestResult(
-        statistic=statistic,
-        threshold=threshold,
-        p_value=float((1 + exceed) / (M + 1)),
-        reject=statistic > threshold,
-        alpha=alpha,
-        resamples_M=M,
-        seed=seed,
-        method=method,
-        null_samples=null_samples,
-        warnings=warnings + ((SMALL_K_WARNING,) if K == 2 else ()),
-    )
 
 
 def _cholesky_fits(fac: np.ndarray, targets) -> tuple[list, np.ndarray]:
@@ -299,7 +270,8 @@ def _fits_and_refits(
     # Allocated per environment, the moment buffers doubled the page faults
     # at the mint-flex shape, and the counts chunk at mint-tall's.
     gemm_out, moments = np.empty((M, iu.size)), np.empty((iu.size, M))
-    fac = np.empty((y + 1, y + 1, M))
+    q = max(len(c) for c, _ in groups)  # the largest Gram factored; y + 1 if shared
+    fac = np.empty((q, q, M))
     counts = np.empty(max(_chunk_rows(M, n) * n for n in dataset.sizes))
     for s, block in enumerate(dataset.blocks):
         U = _build_design(block, psi_spec, phi_spec, layout)
@@ -318,34 +290,57 @@ def _fits_and_refits(
     return omegas, gammas, *refits
 
 
-def _check_draws(M: int, seed: int) -> None:
-    """Reject a null-draw count or seed that the random streams cannot take."""
+def _check_draws(M: int, seed: int, alpha: float) -> None:
+    """Reject a null-draw count, seed or level before any work is done."""
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _random_permutations(rng: np.random.Generator, M: int, K: int) -> np.ndarray:
+def _random_permutations(seed: np.random.SeedSequence, M: int, K: int) -> np.ndarray:
+    """(M, K) uniform permutations of the environment indices."""
     perms = np.tile(np.arange(K), (M, 1))
-    rng.permuted(perms, axis=1, out=perms)
+    np.random.default_rng(seed).permuted(perms, axis=1, out=perms)
     return perms
 
 
-def _permutation_result(
-    statistic: float, omegas_b: np.ndarray, gammas_b: np.ndarray,
-    alpha: float, seed: int, method: str,
-) -> TestResult:
-    """Calibrate on the (M, K, z) draws with their treatment-side rows permuted.
+def _mint_permutations(seed: int, M: int, K: int) -> np.ndarray:
+    # The second child of SeedSequence(seed); the bootstrap draws from the first.
+    return _random_permutations(np.random.SeedSequence(seed).spawn(2)[1], M, K)
 
-    The permutations come from the second child of ``SeedSequence(seed)``;
-    ``mint_test``'s bootstrap draws from the first.
+
+def _permutation_result(
+    statistic: float, treatment: np.ndarray, outcome: np.ndarray, perms: np.ndarray,
+    alpha: float, seed: int, method: str, warnings: tuple[str, ...] = (),
+) -> TestResult:
+    """Calibrate ``statistic`` on null draws whose treatment-side rows are permuted.
+
+    Either side is one (K, z) matrix shared by all M draws or (M, K, z), one
+    per draw; draw m permutes the treatment rows by ``perms[m]``. Shared by
+    every resampling test: the threshold, the add-one Monte Carlo p-value and
+    the K=2 warning, appended to ``warnings``, follow from the null draws.
     """
-    M, K = omegas_b.shape[:2]
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-    perms = _random_permutations(rng, M, K)
-    null_samples = _batched_statistic(omegas_b[np.arange(M)[:, None], perms], gammas_b)
-    return _calibrated_result(statistic, null_samples, alpha, seed, method, K)
+    M, K = perms.shape
+    rows = perms if treatment.ndim == 2 else (np.arange(M)[:, None], perms)
+    null_samples = _batched_statistic(treatment[rows], outcome)
+    threshold = calibrate_threshold(null_samples, alpha)
+    # Add-one Monte Carlo estimate; never exactly zero.
+    exceed = np.count_nonzero(null_samples >= statistic)
+    return TestResult(
+        statistic=statistic,
+        threshold=threshold,
+        p_value=float((1 + exceed) / (M + 1)),
+        reject=statistic > threshold,
+        alpha=alpha,
+        resamples_M=M,
+        seed=seed,
+        method=method,
+        null_samples=null_samples,
+        warnings=warnings + ((SMALL_K_WARNING,) if K == 2 else ()),
+    )
 
 
 def permutation_test(
@@ -364,16 +359,13 @@ def permutation_test(
     ``mint_test``'s permutation stream, so on a full-data fit this returns
     ``mint_test(..., use_bootstrap=False)`` for the same seed.
     """
+    _check_draws(M, seed, alpha)
     omegas = as_float_matrix(omegas, "omegas")
     gammas = as_float_matrix(gammas, "gammas")
-    _check_draws(M, seed)
+    statistic = frobenius_statistic(omegas, gammas)
+    perms = _mint_permutations(seed, M, len(omegas))
     return _permutation_result(
-        frobenius_statistic(omegas, gammas),
-        np.broadcast_to(omegas, (M, *omegas.shape)),
-        np.broadcast_to(gammas, (M, *gammas.shape)),
-        alpha,
-        seed,
-        METHOD_MINT_NO_BOOTSTRAP,
+        statistic, omegas, gammas, perms, alpha, seed, METHOD_MINT_NO_BOOTSTRAP
     )
 
 
@@ -400,9 +392,7 @@ def mint_test(
     derived random streams, so the two randomizations are independent. The
     result is fixed bit for bit by ``seed`` at a given BLAS thread count.
     """
-    _check_draws(M, seed)
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_draws(M, seed, alpha)
     if not use_bootstrap:
         fit = fit_mechanisms(dataset, psi_spec, phi_spec)
         return permutation_test(fit.omegas, fit.gammas, alpha, M, seed)
@@ -411,4 +401,5 @@ def mint_test(
         dataset, psi_spec, phi_spec, M, boot_rng
     )
     statistic = frobenius_statistic(omegas, gammas)
-    return _permutation_result(statistic, omegas_b, gammas_b, alpha, seed, METHOD_MINT)
+    perms = _mint_permutations(seed, M, dataset.n_envs)
+    return _permutation_result(statistic, omegas_b, gammas_b, perms, alpha, seed, METHOD_MINT)

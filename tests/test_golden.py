@@ -9,10 +9,13 @@ sum, nothing more) and requires ``reject`` and the full-data ``statistic``
 to be identical.
 
 A change that alters results on purpose re-records the file with
-``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py [NAME...]`` and says so in
+CHANGES.md. Named cases are re-recorded and every other line is left byte
+for byte as it was; with no name, every case is re-recorded.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,16 +109,26 @@ def test_cases_and_file_agree(golden):
     assert sorted(golden) == sorted(CASES | KERNEL_CASES)
 
 
+def record_line(name: str) -> str:
+    result = run_case(name)
+    record = {
+        "statistic": result.statistic,
+        "threshold": result.threshold,
+        "reject": bool(result.reject),
+        "null_samples": [float(v) for v in result.null_samples],
+    }
+    return f"{json.dumps(name)}: {json.dumps(record)}"
+
+
 if __name__ == "__main__":
-    records = {}
-    for name in CASES | KERNEL_CASES:
-        result = run_case(name)
-        records[name] = {
-            "statistic": result.statistic,
-            "threshold": result.threshold,
-            "reject": bool(result.reject),
-            "null_samples": [float(v) for v in result.null_samples],
-        }
-    lines = ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in records.items())
-    GOLDEN_PATH.write_text("{\n" + lines + "\n}\n", encoding="utf-8")
-    print(f"wrote {len(records)} cases to {GOLDEN_PATH}")
+    names = sys.argv[1:] or list(CASES | KERNEL_CASES)
+    unknown = sorted(set(names) - set(CASES | KERNEL_CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    # One line per case; the lines of cases not named are kept as they are.
+    old = GOLDEN_PATH.read_text(encoding="utf-8").splitlines()[1:-1] if GOLDEN_PATH.exists() else []
+    lines = {json.loads(line.split(":", 1)[0]): line.rstrip(",") for line in old}
+    lines.update((name, record_line(name)) for name in names)
+    ordered = [lines[name] for name in CASES | KERNEL_CASES]
+    GOLDEN_PATH.write_text("{\n" + ",\n".join(ordered) + "\n}\n", encoding="utf-8")
+    print(f"re-recorded {len(names)} of {len(ordered)} cases in {GOLDEN_PATH}")

@@ -6,8 +6,10 @@ from mechindep import (
     KernelSpec,
     MultiEnvDataset,
     NumericalError,
+    PolynomialConfig,
     ValidationError,
     frobenius_statistic,
+    generate_polynomial,
     gram,
     kernel_mint_test,
     kernel_statistic,
@@ -18,6 +20,7 @@ from mechindep.kernel import (
     _BANDWIDTH_MAX_ROWS,
     _BANDWIDTH_SEED,
     EXPERIMENTAL_WARNING,
+    _parameter_factors,
     _parameter_grams,
     _stable_dual,
 )
@@ -396,6 +399,46 @@ class TestKernelMintTest:
         assert a.statistic == b.statistic and a.threshold == b.threshold
         assert EXPERIMENTAL_WARNING in a.warnings
         assert a.method == "kernel_mint"
+
+    def test_null_draws_match_the_gram_trace_form(self):
+        # Oracle: the Gram-trace form on the permuted treatment Gram,
+        # sqrt(tr(H Gw[pi, pi] H . H Gg H)) / K, at the kernel-rbf benchmark's
+        # per-environment shape, with the permutations of the kernel test's
+        # stream, SeedSequence(seed).
+        ds, _ = generate_polynomial(PolynomialConfig(25, 200), np.random.default_rng(20))
+        M, seed = 200, 21
+        res = kernel_mint_test(ds, KernelSpec(), KernelSpec(), M=M, seed=seed)
+        Gw, Gg = _parameter_grams(ds, KernelSpec(), KernelSpec())
+        K = len(Gw)
+        H = np.eye(K) - 1.0 / K
+        centred_g = H @ Gg @ H
+
+        def trace_form(pi):
+            return np.sqrt(np.trace(H @ Gw[np.ix_(pi, pi)] @ H @ centred_g)) / K
+
+        perms = np.random.default_rng(np.random.SeedSequence(seed)).permuted(
+            np.tile(np.arange(K), (M, 1)), axis=1
+        )
+        assert res.statistic == pytest.approx(trace_form(np.arange(K)), rel=1e-12, abs=0.0)
+        want = [trace_form(pi) for pi in perms]
+        np.testing.assert_allclose(res.null_samples, want, rtol=1e-12, atol=0.0)
+
+    def test_zero_parameter_gram_gives_zero(self):
+        # A treatment that is zero everywhere has zero duals: its parameter
+        # Gram has no positive eigenvalue, its factor no column, and the
+        # statistic and every null draw are 0.
+        rng = np.random.default_rng(22)
+        ds = random_dataset(rng, K=5)
+        zero = MultiEnvDataset(tuple(
+            EnvironmentBlock(b.env_id, b.X, np.zeros_like(b.A), b.Y) for b in ds.blocks
+        ))
+        for spec in (LINEAR, KernelSpec()):
+            Fw, Fg = _parameter_factors(zero, spec, spec)
+            assert Fw.shape == (5, 0) and Fg.shape[0] == 5
+            assert kernel_statistic(zero, spec, spec) == 0.0
+            res = kernel_mint_test(zero, spec, spec, M=50, seed=3)
+            assert res.statistic == 0.0 and not res.null_samples.any()
+            assert not res.reject and res.p_value == 1.0
 
     def test_k2_boundary_warns_and_runs(self):
         rng = np.random.default_rng(13)

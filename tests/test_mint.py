@@ -106,18 +106,21 @@ class TestFrobeniusStatistic:
 
     def test_batched_statistic_matches_the_einsum_form(self):
         # The cross-covariance is one batched GEMM; the einsum contraction it
-        # replaced is the oracle, up to the order of the sums over K.
+        # replaced is the oracle, up to the order of the sums over K. The
+        # outcome side is one per draw or one (K, z') matrix for all draws.
         rng = np.random.default_rng(47)
         for _ in range(20):
             M, K = int(rng.integers(1, 40)), int(rng.integers(2, 60))
             omegas = rng.normal(size=(M, K, int(rng.integers(1, 13))))
             gammas = rng.normal(size=(M, K, int(rng.integers(1, 13))))
+            shared = gammas[0]
             oc = omegas - omegas.mean(axis=1, keepdims=True)
-            gc = gammas - gammas.mean(axis=1, keepdims=True)
-            cross = np.einsum("mki,mkj->mij", oc, gc)
-            want = np.sqrt(np.einsum("mij,mij->m", cross, cross)) / K
-            got = mint_module._batched_statistic(omegas, gammas)
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+            for outcome, expanded in ((gammas, gammas), (shared, np.stack([shared] * M))):
+                gc = expanded - expanded.mean(axis=1, keepdims=True)
+                cross = np.einsum("mki,mkj->mij", oc, gc)
+                want = np.sqrt(np.einsum("mij,mij->m", cross, cross)) / K
+                got = mint_module._batched_statistic(omegas, outcome)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_single_environment_rejected(self):
         with pytest.raises(ValidationError):
@@ -583,19 +586,24 @@ class TestMintTest:
 
 @pytest.mark.parametrize("test", ["mint", "permutation", "kernel"])
 def test_negative_seed_rejected_before_any_work(monkeypatch, test):
+    # A bad level too: no test may compute a null statistic before the
+    # level is checked.
     def no_work(*args):
-        raise AssertionError("work started before the seed was checked")
+        raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(mint_module, "_design_layout", no_work)
+    monkeypatch.setattr(mint_module, "_batched_statistic", no_work)
     monkeypatch.setattr(kernel_module, "_parameter_grams", no_work)
     ds = make_dataset()
     calls = {
-        "mint": lambda: mint_test(ds, treatment_spec(1), outcome_spec(1), seed=-1),
-        "permutation": lambda: permutation_test(np.ones((3, 1)), np.ones((3, 1)), seed=-1),
-        "kernel": lambda: kernel_mint_test(ds, KernelSpec(), KernelSpec(), seed=-1),
+        "mint": lambda **kw: mint_test(ds, treatment_spec(1), outcome_spec(1), **kw),
+        "permutation": lambda **kw: permutation_test(np.ones((3, 1)), np.ones((3, 1)), **kw),
+        "kernel": lambda **kw: kernel_mint_test(ds, KernelSpec(), KernelSpec(), **kw),
     }
     with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
-        calls[test]()
+        calls[test](seed=-1)
+    with pytest.raises(ValidationError, match=r"^alpha must lie in \(0, 1\), got 1.5$"):
+        calls[test](alpha=1.5)
 
 
 class TestPermutationCalibration:
