@@ -19,7 +19,7 @@ from .dataset import MultiEnvDataset, as_float_vector
 from .errors import ValidationError
 from .estimation import _lstsq_full_rank
 from .features import FeatureSpec, build_outcome_features
-from .mint import METHOD_TRANSPORTABILITY, SMALL_K_WARNING, TestResult
+from .mint import METHOD_TRANSPORTABILITY, TestResult
 from .special import chi2_survival, f_critical_value, f_survival
 
 _P_FLOOR = np.finfo(float).tiny  # keep reported p-values inside (0, 1]
@@ -111,5 +111,4 @@ def transportability_test(
         seed=0,
         method=METHOD_TRANSPORTABILITY,
         null_samples=None,
-        warnings=(SMALL_K_WARNING,) if K == 2 else (),
     )

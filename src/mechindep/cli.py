@@ -198,6 +198,8 @@ def _cmd_test(args) -> None:
     ignored = ["--" + f.replace("_", "-") for f in given if f not in _METHOD_FLAGS[method]]
     if ignored:
         raise ValidationError(f"--method {method} does not read {', '.join(ignored)}")
+    if given.get("kernel_kind") == "linear" and "kernel_bandwidth" in given:
+        raise ValidationError("--kernel-kind linear does not read --kernel-bandwidth")
     dataset = load_csv_dataset(args.input)
     params = {"alpha": args.alpha}
     kernel = {}

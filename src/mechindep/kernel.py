@@ -2,11 +2,11 @@
 
 Instead of explicit polynomial features, the working models are kernel ridge
 regressions: dual coefficients solve ``(G + n*lambda*I) c = target`` on the
-environment's Gram matrix. When ``n*lambda >= 1e-6 * tr(G)`` the system is
-well conditioned and is solved after a Cholesky factorization confirms it is
-positive definite. Otherwise, or when the Cholesky fails, ``eigh`` solves it
-with G's numerical null space projected out: at a tiny ridge (a linear kernel
-at ``lambda = 1e-8``, as in acceptance criterion 9) a direct solve would give
+environment's Gram matrix, with one factorization. When
+``n*lambda >= 1e-6 * tr(G)`` the system is well conditioned and
+``np.linalg.solve`` solves it directly. Otherwise ``eigh`` solves it with G's
+numerical null space projected out: at a tiny ridge (a linear kernel at
+``lambda = 1e-8``, as in acceptance criterion 9) a direct solve would give
 the dual a ``||target|| / (n*lambda)`` null-space component whose rounding
 noise the Gram contractions amplify. Parameter inner products across
 environments are then available through cross-Gram matrices,
@@ -64,7 +64,8 @@ class KernelSpec:
     ``bandwidth`` is either a positive finite number, with
     ``2 * bandwidth**2`` a normal float, or the string
     ``"median_heuristic"``, resolved against data by
-    :func:`resolve_bandwidth`. The dual system uses ``n * ridge_lambda``
+    :func:`resolve_bandwidth`. Only RBF reads it: a linear kernel keeps the
+    default and rejects a number. The dual system uses ``n * ridge_lambda``
     (sample-size scaled); the explicit-feature least-squares fits take no
     ridge.
     """
@@ -79,6 +80,8 @@ class KernelSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != MEDIAN_HEURISTIC:
                 raise ValidationError(f"unknown bandwidth rule {self.bandwidth!r}")
+        elif self.kind == "linear":
+            raise ValidationError(f"a linear kernel takes no bandwidth, got {self.bandwidth!r}")
         else:
             # gram divides by 2 * bandwidth**2, which must neither overflow
             # nor underflow.
@@ -187,36 +190,31 @@ def gram(Xa, Xb, spec: KernelSpec) -> np.ndarray:
 
 # tr(G) >= lambda_max(G), so n * lambda >= this fraction of tr(G) keeps
 # cond(G + n*lambda*I) * eps below about 2e-10.
-_CHOLESKY_RIDGE_FRACTION = 1e-6
+_DIRECT_RIDGE_FRACTION = 1e-6
 
 
 def _stable_dual(G: np.ndarray, target: np.ndarray, lam: float) -> np.ndarray:
     """Dual coefficients solving ``(G + n*lam*I) c = target``.
 
-    If ``n * lam >= 1e-6 * tr(G)``, the system is well conditioned: a
-    Cholesky factorization checks that it is positive definite, and it is
-    solved directly. Otherwise, or if the Cholesky fails, ``eigh`` solves it
-    on G's numerical range. Directions with (numerically) zero Gram
-    eigenvalue contribute nothing to any parameter inner product, but at
-    small lambda they carry a ``||target|| / (n * lam)`` component whose
-    rounding noise the Gram contractions would amplify. A linear kernel at
-    ``lam = 1e-8`` (acceptance criterion 9) takes this branch, which raises
-    :class:`NumericalError` for a G that is not positive semi-definite.
+    G is a kernel self-block, PSD up to rounding far below any ridge with
+    ``n * lam >= 1e-6 * tr(G)``; such a system is well conditioned and
+    ``np.linalg.solve`` solves it directly. Otherwise ``eigh`` solves it on
+    G's numerical range. Directions with (numerically) zero Gram eigenvalue
+    contribute nothing to any parameter inner product, but at small lambda
+    they carry a ``||target|| / (n * lam)`` component whose rounding noise
+    the Gram contractions would amplify. A linear kernel at ``lam = 1e-8``
+    (acceptance criterion 9) takes this branch, which raises
+    :class:`NumericalError` for a G that is not positive semi-definite
+    relative to its largest eigenvalue magnitude.
     """
     n = G.shape[0]
     ridge = n * lam
-    if ridge >= _CHOLESKY_RIDGE_FRACTION * np.trace(G):
+    if ridge >= _DIRECT_RIDGE_FRACTION * np.trace(G):
         A = G.copy()
         A[np.diag_indices(n)] += ridge
-        try:
-            np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return np.linalg.solve(A, target)
+        return np.linalg.solve(A, target)
     w, V = np.linalg.eigh(G)
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    if w[0] < -1e-10 * scale:
+    if w[0] < -1e-10 * max(abs(w[0]), abs(w[-1])):
         raise NumericalError(
             f"Gram matrix is not positive semi-definite (min eigenvalue {w[0]:.3e})"
         )

@@ -56,6 +56,10 @@ class TestTransportabilityTest:
         assert res.p_value > 0.99
         assert not res.reject
 
+    def test_k2_carries_no_permutation_warning(self):
+        # An analytic F-test draws no permutations at K = 2 or any other K.
+        assert transportability_test(linear_dataset(2, 40, seed=3), outcome_spec(1)).warnings == ()
+
     def test_detects_intercept_shift(self):
         ds = linear_dataset(5, 200, seed=21, mechanism="per_env")
         assert transportability_test(ds, outcome_spec(1)).reject

@@ -200,6 +200,7 @@ class TestExperimentConfig:
             ("transportability", {"feature_degree": "2"}),
             ("kernel_mint", {"treatment_kernel": {"bandwidth": float("inf")}}),
             ("kernel_mint", {"outcome_kernel": {"kind": "cubic"}}),
+            ("kernel_mint", {"treatment_kernel": {"kind": "linear", "bandwidth": 2.0}}),
             ("kernel_mint", {"outcome_kernel": [1]}),
         ],
     )

@@ -778,6 +778,10 @@ class TestStrictCli:
             (["--method", "kernel_mint", "--feature-degree", "1"], "--feature-degree"),
             (["--method", "kernel_mint", "--interactions"], "--interactions"),
             (["--method", "kernel_mint", "--square"], "--square"),
+            (["--method", "kernel_mint", "--kernel-kind", "linear", "--kernel-bandwidth", "2"],
+             "--kernel-bandwidth"),
+            (["--method", "kernel_mint", "--kernel-kind", "linear",
+              "--kernel-bandwidth", "median_heuristic"], "--kernel-bandwidth"),
         ],
     )
     def test_test_rejects_flags_its_method_ignores(self, tmp_path, capsys, extra, flag):

@@ -63,6 +63,7 @@ class TestKernelSpec:
             {"bandwidth": 1e-154},  # 2 * bandwidth**2 is subnormal
             {"bandwidth": 1e154},  # 2 * bandwidth**2 overflows
             {"bandwidth": True},
+            {"kind": "linear", "bandwidth": 2.0},  # a linear kernel reads none
             {"ridge_lambda": 0.0},
             {"ridge_lambda": np.inf},
             {"ridge_lambda": np.nan},
@@ -271,11 +272,29 @@ class TestKernelDual:
         assert null.shape[1] == 38
         assert np.linalg.norm(null.T @ c) <= 1e-10 * np.linalg.norm(c)
 
-    def test_indefinite_gram_raises_after_failed_cholesky(self):
-        # n * lambda >= 1e-6 * tr(G) = 0 admits the Cholesky branch; the
-        # factorization of diag(1.002, -0.998) fails and eigh rejects G.
+    def test_direct_branch_is_one_solve(self):
+        # n * lambda >= 1e-6 * tr(G): the dual is the plain solve, bit for bit.
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(50, 2))
+        G = gram(X, X, KernelSpec(bandwidth=1.0))
+        t = rng.normal(size=50)
+        want = np.linalg.solve(G + 50 * 1e-3 * np.eye(50), t)
+        assert np.array_equal(_stable_dual(G, t, 1e-3), want)
+
+    def test_indefinite_gram_below_the_gate_raises(self):
+        # n * lambda = 2e-9 < 1e-6 * tr(G): eigh rejects G.
         with pytest.raises(NumericalError, match="not positive semi-definite"):
-            _stable_dual(np.diag([1.0, -1.0]), np.array([1.0, 2.0]), 1e-3)
+            _stable_dual(np.diag([2.0, -1.0]), np.array([1.0, 2.0]), 1e-9)
+
+    def test_psd_screen_is_relative_to_the_gram(self):
+        # At entries of order 1e-12 an absolute screen would let the negative
+        # eigenvalue through, clip it and return [5e11, 0].
+        t = np.array([1.0, 2.0])
+        with pytest.raises(NumericalError, match="not positive semi-definite"):
+            _stable_dual(np.diag([2e-12, -1e-12]), t, 1e-20)
+        np.testing.assert_allclose(
+            _stable_dual(np.diag([2e-12, 0.0]), t, 1e-20), [1.0 / (2e-12 + 2e-20), 0.0]
+        )
 
 
 class TestKernelStatistic:
@@ -439,6 +458,17 @@ class TestKernelMintTest:
             res = kernel_mint_test(zero, spec, spec, M=50, seed=3)
             assert res.statistic == 0.0 and not res.null_samples.any()
             assert not res.reject and res.p_value == 1.0
+
+    def test_no_cholesky_on_the_kernel_path(self, monkeypatch):
+        # Each dual is one factorization, solve or eigh.
+        ds = random_dataset(np.random.default_rng(17), K=4, n=30)
+
+        def cholesky(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        for spec in (LINEAR, KernelSpec(), KernelSpec(kind="linear")):
+            kernel_mint_test(ds, spec, spec, M=20, seed=0)
 
     def test_k2_boundary_warns_and_runs(self):
         rng = np.random.default_rng(13)
