@@ -339,7 +339,7 @@ def check_value(value, kind, context: str):
 def _check_field(value, annotation, context: str):
     """``value`` checked against a field annotation: a scalar type, a tuple of
     allowed values, a ``tuple[t, ...]`` or ``frozenset[t]`` of one (a JSON
-    list), such a type ``| None``, or a nested config dataclass, which is built
+    list), one such type ``| None``, or a nested config dataclass, which is built
     from an object (JSON null is its default). Other annotations are left to
     the class."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
@@ -354,7 +354,7 @@ def _check_field(value, annotation, context: str):
             return annotation()
         if not isinstance(value, annotation):
             return dataclass_from_dict(annotation, value, context)
-    elif type(None) in args and value is not None:
+    elif type(None) in args and value is not None and len(args) == 2:
         (inner,) = [a for a in args if a is not type(None)]
         return _check_field(value, inner, context)
     return value

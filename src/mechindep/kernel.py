@@ -21,7 +21,9 @@ Gram-trace form
 and permuting the rows of ``Fw`` permutes the rows and columns of ``Gw``.
 Calibration is permutation-only, through the explicit-feature test's
 permutation core; no bootstrap analogue is defined for dual solutions, so
-results carry an "experimental" warning.
+results carry an "experimental" warning. Unless given, an RBF bandwidth is
+the median heuristic's median distance between rows, summed over explicit
+differences in blocks of rows into one packed triangle of pairs.
 """
 
 from __future__ import annotations
@@ -44,12 +46,7 @@ from .mint import (
 MEDIAN_HEURISTIC = "median_heuristic"
 _BANDWIDTH_MAX_ROWS = 1000
 _BANDWIDTH_SEED = 0
-# Equal d-vectors a, b leave |a|^2 + |b|^2 - 2 a.b a rounding residue of at
-# most about d * eps * (|a|^2 + |b|^2): the norms and the dot product are each
-# within d * eps / 2 relative. Up to 32 times eps that is taken for coincident
-# rows, which covers every d <= 32; a distance that small cannot be told from
-# a residue. At the kernel-rbf benchmark's shape distinct pairs stay >= 1421.
-_COINCIDENT_EPS = 32 * np.finfo(float).eps
+_BANDWIDTH_BLOCK = 64
 
 EXPERIMENTAL_WARNING = (
     "kernel test calibration is permutation-only (no bootstrap refits) "
@@ -61,28 +58,27 @@ EXPERIMENTAL_WARNING = (
 class KernelSpec:
     """Kernel family, bandwidth, and ridge strength for one working model.
 
-    ``bandwidth`` is either a positive finite number, with
-    ``2 * bandwidth**2`` a normal float, or the string
-    ``"median_heuristic"``, resolved against data by
-    :func:`resolve_bandwidth`. Only RBF reads it: a linear kernel keeps the
-    default and rejects a number. The dual system uses ``n * ridge_lambda``
-    (sample-size scaled); the explicit-feature least-squares fits take no
-    ridge.
+    ``bandwidth`` is ``None`` (the default) or ``"median_heuristic"``, both
+    resolved against data by :func:`resolve_bandwidth`, or a positive finite
+    number with ``2 * bandwidth**2`` a normal float. Only RBF reads it: a
+    linear kernel rejects any bandwidth but ``None``. The dual system uses
+    ``n * ridge_lambda`` (sample-size scaled); the explicit-feature
+    least-squares fits take no ridge.
     """
 
     kind: str = "rbf"  # "linear" | "rbf"
-    bandwidth: float | str = MEDIAN_HEURISTIC
+    bandwidth: float | str | None = None
     ridge_lambda: float = 1e-3
 
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "linear" and self.bandwidth is not None:
+            raise ValidationError(f"a linear kernel takes no bandwidth, got {self.bandwidth!r}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != MEDIAN_HEURISTIC:
                 raise ValidationError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif self.kind == "linear":
-            raise ValidationError(f"a linear kernel takes no bandwidth, got {self.bandwidth!r}")
-        else:
+        elif self.bandwidth is not None:
             # gram divides by 2 * bandwidth**2, which must neither overflow
             # nor underflow.
             with np.errstate(over="ignore", under="ignore"):
@@ -99,45 +95,48 @@ class KernelSpec:
 
 
 def resolve_bandwidth(spec: KernelSpec, rows: np.ndarray) -> KernelSpec:
-    """Replace a median-heuristic bandwidth with the median pairwise distance.
+    """Replace an RBF spec's unset or median-heuristic bandwidth with the
+    median pairwise distance.
 
     At most ``_BANDWIDTH_MAX_ROWS`` rows enter the pairwise computation; a
     larger input is subsampled without replacement from a stream seeded with
-    ``_BANDWIDTH_SEED``, so the resolution is deterministic. The positive
-    squared distances above the diagonal, gathered row by row, are
-    partitioned once, and only the one or two middle values are square-rooted
-    and averaged as ``np.median`` averages them: ``sqrt`` is monotone and
-    correctly rounded, so this is the median distance bit for bit.
-    Coincident rows, and pairs within their rounding residue
-    (``_COINCIDENT_EPS``), are left out; if all coincide, the bandwidth is 1.
+    ``_BANDWIDTH_SEED``, so the resolution is deterministic. Squared
+    distances are summed over explicit differences, ``sum_k (a_k - b_k)^2``,
+    so coincident rows give exactly 0 and are left out (if all coincide, the
+    bandwidth is 1). Blocks of ``_BANDWIDTH_BLOCK`` rows write the pairs
+    above the diagonal into one packed buffer, partitioned once in place;
+    only the one or two middle values are square-rooted and averaged as
+    ``np.median`` averages them, which, ``sqrt`` being monotone and correctly
+    rounded, is the median distance bit for bit.
     """
-    if spec.kind == "linear" or not isinstance(spec.bandwidth, str):
+    if spec.kind == "linear" or spec.bandwidth not in (None, MEDIAN_HEURISTIC):
         return spec
     rows = as_float_matrix(rows, "rows")
     n = rows.shape[0]
     if n > _BANDWIDTH_MAX_ROWS:
-        rng = np.random.default_rng(_BANDWIDTH_SEED)
-        keep = rng.choice(n, size=_BANDWIDTH_MAX_ROWS, replace=False)
-        rows = rows[np.sort(keep)]
-    norms = np.sum(rows * rows, axis=1)
-    sq = norms[:, None] + norms[None, :]
-    sq -= 2.0 * (rows @ rows.T)
-    # Zero coincident pairs' residues, in the rows with a pair under the
-    # largest norms' bound; the diagonal is outside the gather.
-    np.fill_diagonal(sq, np.inf)
-    bound = _COINCIDENT_EPS * 2.0 * norms.max(initial=0.0)
-    near = np.flatnonzero(sq.min(axis=1, initial=np.inf) <= bound)
-    block = sq[near]
-    block[block <= _COINCIDENT_EPS * (norms[near, None] + norms)] = 0.0
-    sq[near] = block
-    upper = np.concatenate([np.empty(0)] + [sq[i, i + 1 :] for i in range(len(sq) - 1)])
-    positive = upper[upper > 0]
-    if not positive.size:
+        keep = np.random.default_rng(_BANDWIDTH_SEED).choice(n, _BANDWIDTH_MAX_ROWS, replace=False)
+        rows, n = rows[np.sort(keep)], _BANDWIDTH_MAX_ROWS
+    cols = np.ascontiguousarray(rows.T)
+    upper = np.empty(n * (n - 1) // 2)
+    sq, diff = np.empty((2, _BANDWIDTH_BLOCK * n))  # contiguous blocks of shrinking width
+    for i in range(0, n, _BANDWIDTH_BLOCK):  # rows i.. against rows i..
+        b = min(_BANDWIDTH_BLOCK, n - i)
+        block, term = (buf[: b * (n - i)].reshape(b, n - i) for buf in (sq, diff))
+        block[:] = 0.0
+        for c in cols:
+            np.subtract(c[i : i + b, None], c[i:], out=term)
+            term *= term
+            block += term
+        # In row-major packed order the pairs of rows before r take r * n - r * (r + 1) / 2.
+        lo, hi = (r * n - r * (r + 1) // 2 for r in (i, i + b))
+        upper[lo:hi] = block[np.arange(n - i) > np.arange(b)[:, None]]
+    positive = np.count_nonzero(upper)
+    if not positive:
         return replace(spec, bandwidth=1.0)
-    k = positive.size // 2
-    positive.partition(k)  # an even count's lower middle is the largest before k
-    lower = positive[k] if positive.size % 2 else positive[:k].max()
-    bandwidth = (np.sqrt(lower) + np.sqrt(positive[k])) / 2
+    k = upper.size - (positive + 1) // 2  # past the zeros, the upper middle
+    upper.partition(k)  # an even count's lower middle is the largest before k
+    lower = upper[k] if positive % 2 else upper[:k].max()
+    bandwidth = (np.sqrt(lower) + np.sqrt(upper[k])) / 2
     return replace(spec, bandwidth=float(bandwidth))
 
 
@@ -178,13 +177,9 @@ def gram(Xa, Xb, spec: KernelSpec) -> np.ndarray:
     Xa = as_float_matrix(Xa, "Xa")
     Xb = as_float_matrix(Xb, "Xb")
     if Xa.shape[1] != Xb.shape[1]:
-        raise ValidationError(
-            f"row dimension mismatch: {Xa.shape[1]} vs {Xb.shape[1]}"
-        )
-    if spec.kind == "rbf" and isinstance(spec.bandwidth, str):
-        raise ValidationError(
-            "rbf bandwidth is unresolved; call resolve_bandwidth first"
-        )
+        raise ValidationError(f"row dimension mismatch: {Xa.shape[1]} vs {Xb.shape[1]}")
+    if spec.kind == "rbf" and spec.bandwidth in (None, MEDIAN_HEURISTIC):
+        raise ValidationError("rbf bandwidth is unresolved; call resolve_bandwidth first")
     return _kernel_block(_kernel_rows(Xa, spec), _kernel_rows(Xb, spec), spec)
 
 
@@ -238,6 +233,8 @@ def _model_gram(inputs: list, targets: list, spec: KernelSpec) -> np.ndarray:
     duals = []
     for s in range(K):
         block = _kernel_block(rows[s], rows[s], spec)
+        if spec.kind == "rbf":  # k(x, x) = 1, which the fused GEMM can miss by an ulp at d >= 2
+            np.fill_diagonal(block, 1.0)
         duals.append(_stable_dual(block, targets[s], spec.ridge_lambda))
         G[s, s] = duals[s] @ block @ duals[s]
     for s in range(K):

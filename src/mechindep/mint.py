@@ -199,6 +199,9 @@ _CHUNK_ELEMENTS = 1 << 19
 # bincount call and one row block of W. One bincount over a whole chunk ran
 # ~3x slower at n = 10,000 on a 2-vCPU Xeon (AVX-512, OpenBLAS 0.3.31).
 _BINCOUNT_ELEMENTS = 1 << 15
+# Null draws are computed in blocks of about this many gathered parameter
+# entries, so the gathered, centred and cross arrays stay small whatever M is.
+_NULL_ELEMENTS = 1 << 15
 
 
 def _chunk_rows(M: int, n: int) -> int:
@@ -319,13 +322,20 @@ def _permutation_result(
     """Calibrate ``statistic`` on null draws whose treatment-side rows are permuted.
 
     Either side is one (K, z) matrix shared by all M draws or (M, K, z), one
-    per draw; draw m permutes the treatment rows by ``perms[m]``. Shared by
-    every resampling test: the threshold, the add-one Monte Carlo p-value and
-    the K=2 warning, appended to ``warnings``, follow from the null draws.
+    per draw; draw m permutes the treatment rows by ``perms[m]``. The draws
+    are computed in blocks of about ``_NULL_ELEMENTS`` gathered entries, each
+    draw exactly as in one batch of all M. Shared by every resampling test:
+    the threshold, the add-one Monte Carlo p-value and the K=2 warning,
+    appended to ``warnings``, follow from the null draws.
     """
     M, K = perms.shape
-    rows = perms if treatment.ndim == 2 else (np.arange(M)[:, None], perms)
-    null_samples = _batched_statistic(treatment[rows], outcome)
+    step = max(1, _NULL_ELEMENTS // (K * max(treatment.shape[-1], outcome.shape[-1], 1)))
+    null_samples = np.empty(M)
+    for m in range(0, M, step):
+        block = perms[m : m + step]
+        rows = block if treatment.ndim == 2 else (np.arange(m, m + len(block))[:, None], block)
+        side = outcome if outcome.ndim == 2 else outcome[m : m + step]
+        null_samples[m : m + step] = _batched_statistic(treatment[rows], side)
     threshold = calibrate_threshold(null_samples, alpha)
     # Add-one Monte Carlo estimate; never exactly zero.
     exceed = np.count_nonzero(null_samples >= statistic)

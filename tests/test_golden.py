@@ -12,6 +12,10 @@ A change that alters results on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_golden.py [NAME...]`` and says so in
 CHANGES.md. Named cases are re-recorded and every other line is left byte
 for byte as it was; with no name, every case is re-recorded.
+``PYTHONPATH=src python tests/test_golden.py --compare [NAME...]`` writes
+nothing: for each case it prints whether the statistic, threshold, reject
+and p-value equal the recorded ones (the p-value is recomputed from the
+recorded null samples), and the largest relative move of a null sample.
 """
 
 import json
@@ -120,11 +124,33 @@ def record_line(name: str) -> str:
     return f"{json.dumps(name)}: {json.dumps(record)}"
 
 
+def compare_line(name: str, expected: dict) -> str:
+    result = run_case(name)
+    recorded = np.asarray(expected["null_samples"])
+    exceed = np.count_nonzero(recorded >= expected["statistic"])
+    fields = {
+        "statistic": (result.statistic, expected["statistic"]),
+        "threshold": (result.threshold, expected["threshold"]),
+        "reject": (bool(result.reject), expected["reject"]),
+        "p_value": (result.p_value, float((1 + exceed) / (len(recorded) + 1))),
+    }
+    move = np.abs(result.null_samples - recorded)
+    np.divide(move, np.abs(recorded), out=move, where=move > 0)
+    same = ", ".join(f"{k} {'equal' if a == b else 'differs'}" for k, (a, b) in fields.items())
+    return f"{name}: {same}; null samples move by up to {move.max(initial=0.0):.2g} relative"
+
+
 if __name__ == "__main__":
-    names = sys.argv[1:] or list(CASES | KERNEL_CASES)
+    compare = sys.argv[1:2] == ["--compare"]
+    names = sys.argv[1 + compare :] or list(CASES | KERNEL_CASES)
     unknown = sorted(set(names) - set(CASES | KERNEL_CASES))
     if unknown:
         sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    if compare:
+        recorded = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        for name in names:
+            print(compare_line(name, recorded[name]))
+        sys.exit(0)
     # One line per case; the lines of cases not named are kept as they are.
     old = GOLDEN_PATH.read_text(encoding="utf-8").splitlines()[1:-1] if GOLDEN_PATH.exists() else []
     lines = {json.loads(line.split(":", 1)[0]): line.rstrip(",") for line in old}

@@ -201,6 +201,7 @@ class TestExperimentConfig:
             ("kernel_mint", {"treatment_kernel": {"bandwidth": float("inf")}}),
             ("kernel_mint", {"outcome_kernel": {"kind": "cubic"}}),
             ("kernel_mint", {"treatment_kernel": {"kind": "linear", "bandwidth": 2.0}}),
+            ("kernel_mint", {"outcome_kernel": {"kind": "linear", "bandwidth": "median_heuristic"}}),
             ("kernel_mint", {"outcome_kernel": [1]}),
         ],
     )
@@ -377,8 +378,10 @@ class TestConfigKeyCheck:
             (None, KernelSpec()),
             ({"kind": "linear", "ridge_lambda": 0.01}, KernelSpec(kind="linear", ridge_lambda=0.01)),
             (KernelSpec(bandwidth=2.0), KernelSpec(bandwidth=2.0)),
+            ({"bandwidth": "median_heuristic"}, KernelSpec(bandwidth="median_heuristic")),
+            ({"kind": "linear", "bandwidth": None}, KernelSpec(kind="linear")),
         ],
-        ids=["null", "dict", "instance"],
+        ids=["null", "dict", "instance", "median_heuristic", "null_bandwidth"],
     )
     def test_kernel_spec_forms(self, monkeypatch, given, spec):
         params = {"treatment_kernel": given, "outcome_kernel": given}

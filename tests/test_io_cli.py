@@ -678,6 +678,11 @@ class TestCliRunsThroughHarness:
              "kernel_mint", {"resamples": 30,
                              "treatment_kernel": KernelSpec("rbf", 0.7, 0.01),
                              "outcome_kernel": KernelSpec("rbf", 0.7, 0.01)}, 2),
+            (["--method", "kernel_mint", "--kernel-bandwidth", "median_heuristic",
+              "--resamples", "30"],
+             "kernel_mint", {"resamples": 30,
+                             "treatment_kernel": KernelSpec(bandwidth="median_heuristic"),
+                             "outcome_kernel": KernelSpec(bandwidth="median_heuristic")}, 0),
         ],
     )
     def test_test_output_is_run_method(self, tmp_path, flags, method, params, seed):
@@ -688,6 +693,18 @@ class TestCliRunsThroughHarness:
         assert main(["test", "--input", str(data), "--output", str(out)] + flags) == 0
         result = run_method(method, params, load_csv_dataset(data), seed)
         assert out.read_text(encoding="utf-8") == dumps_json(result_to_dict(result))
+
+    def test_explicit_median_heuristic_is_the_default_kernel(self, tmp_path, capsys):
+        gen = write_generator_config(tmp_path, confounded=True)
+        data = tmp_path / "data.csv"
+        main(["simulate", "--config", str(gen), "--output", str(data)])
+        capsys.readouterr()
+        outputs = []
+        for extra in ([], ["--kernel-kind", "rbf", "--kernel-bandwidth", "median_heuristic"]):
+            argv = ["test", "--input", str(data), "--method", "kernel_mint", "--resamples", "30"]
+            assert main(argv + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "kind, params",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from mechindep import (
     least_squares_fit,
     resolve_bandwidth,
 )
+from mechindep import kernel as kernel_module
 from mechindep.kernel import (
     _BANDWIDTH_MAX_ROWS,
     _BANDWIDTH_SEED,
@@ -64,6 +67,7 @@ class TestKernelSpec:
             {"bandwidth": 1e154},  # 2 * bandwidth**2 overflows
             {"bandwidth": True},
             {"kind": "linear", "bandwidth": 2.0},  # a linear kernel reads none
+            {"kind": "linear", "bandwidth": "median_heuristic"},
             {"ridge_lambda": 0.0},
             {"ridge_lambda": np.inf},
             {"ridge_lambda": np.nan},
@@ -76,6 +80,13 @@ class TestKernelSpec:
     @pytest.mark.parametrize("bandwidth", [1.1e-154, 9e153, 2])
     def test_bandwidth_with_normal_divisor_accepted(self, bandwidth):
         assert KernelSpec(bandwidth=bandwidth).bandwidth == bandwidth
+
+    def test_unset_bandwidth_is_the_median_heuristic_for_rbf_only(self):
+        rows = np.random.default_rng(3).normal(size=(40, 2))
+        assert KernelSpec().bandwidth is None
+        explicit = resolve_bandwidth(KernelSpec(bandwidth="median_heuristic"), rows)
+        assert resolve_bandwidth(KernelSpec(), rows) == explicit
+        assert resolve_bandwidth(KernelSpec(kind="linear"), rows) == KernelSpec(kind="linear")
 
 
 class TestGram:
@@ -159,28 +170,25 @@ class TestGram:
         assert a.bandwidth > 0
 
 
-def reference_bandwidth(rows, drop_equal=True):
-    """Median of the positive strict-upper-triangle distances, between
-    unequal rows unless ``drop_equal`` is false, taken as ``np.median`` of all
-    their square roots."""
+def reference_bandwidth(rows):
+    """Median of the positive strict-upper-triangle distances, taken as
+    ``np.median`` of all their square roots, with each squared distance summed
+    over explicit differences, ``sum_k (a_k - b_k)^2``, in the order of k."""
     if len(rows) > _BANDWIDTH_MAX_ROWS:
         keep = np.random.default_rng(_BANDWIDTH_SEED).choice(
             len(rows), size=_BANDWIDTH_MAX_ROWS, replace=False
         )
         rows = rows[np.sort(keep)]
-    norms = np.sum(rows * rows, axis=1)
-    sq = np.clip(norms[:, None] + norms[None, :] - 2.0 * (rows @ rows.T), 0.0, None)
-    upper = np.triu_indices(len(rows), 1)
-    equal = np.all(rows[:, None, :] == rows[None, :, :], axis=2)[upper]
-    dists = np.sqrt(sq[upper][~equal if drop_equal else slice(None)])
+    sq = sum((rows[:, None, k] - rows[None, :, k]) ** 2 for k in range(rows.shape[1]))
+    dists = np.sqrt(sq[np.triu_indices(len(rows), 1)])
     positive = dists[dists > 0]
     return float(np.median(positive)) if positive.size else 1.0, positive.size
 
 
 class TestMedianHeuristic:
-    # (rows, copies of row 0, parity of the positive-distance count). Here
-    # the copies' distances round to 0 and are dropped, as the parity shows;
-    # past _BANDWIDTH_MAX_ROWS rows the subsample path runs.
+    # (rows, copies of row 0, parity of the positive-distance count). The
+    # copies' distances are exactly 0 and dropped, as the parity shows; past
+    # _BANDWIDTH_MAX_ROWS rows the subsample path runs.
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize(
         "n, copies, parity",
@@ -193,22 +201,35 @@ class TestMedianHeuristic:
         assert count % 2 == parity
         assert resolve_bandwidth(KernelSpec(), rows).bandwidth == want
 
-    def test_equal_rows_with_a_rounding_residue_are_left_out(self):
-        # At d >= 2, |a|^2 + |a|^2 - 2 a.a can round to a positive residue
-        # instead of 0, where BLAS fuses the dot product's additions. Rows
-        # drawn from two distinct rows (about 40,000 equal pairs) plus 5
-        # others, redrawn until the residues move the median (with the
-        # stream below and OpenBLAS on AVX-512, at draw 58, from 6.99 to 4.08).
+    @pytest.mark.parametrize("d", [3, 48])
+    def test_coincident_rows_are_left_out(self, d):
+        # 400 rows drawn from two distinct rows (about 40,000 equal pairs)
+        # plus 5 others: only the about 41,800 pairs of unequal rows count.
+        # Explicit differences give equal rows exactly 0 at any d, also at
+        # d = 48, where the residue bound of |a|^2 + |b|^2 - 2 a.b, about
+        # d * eps * (|a|^2 + |b|^2), passes 32 * eps * (|a|^2 + |b|^2).
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            base = 3 * rng.normal(size=(2, 3))
-            rows = np.vstack([base[rng.integers(0, 2, 400)], rng.normal(size=(5, 3))])
-            want, _ = reference_bandwidth(rows)
-            if reference_bandwidth(rows, drop_equal=False)[0] != want:
-                break
-        else:
-            pytest.skip("this BLAS left no residue that moves the median")
+        base = 3 * rng.normal(size=(2, d))
+        pick = rng.integers(0, 2, 400)
+        rows = np.vstack([base[pick], rng.normal(size=(5, d))])
+        want, count = reference_bandwidth(rows)
+        ones = np.count_nonzero(pick)
+        assert count == ones * (400 - ones) + 5 * 400 + 10
         assert resolve_bandwidth(KernelSpec(), rows).bandwidth == want
+
+    def test_peak_memory_is_about_the_packed_triangle(self):
+        # The pairs above the diagonal go straight into one packed buffer of
+        # n (n - 1) / 2 floats; an n x n matrix of squared distances beside it
+        # would be 3x.
+        n = _BANDWIDTH_MAX_ROWS
+        rows = np.random.default_rng(6).normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            resolve_bandwidth(KernelSpec(), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n * (n - 1) // 2) * 8
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_rows_give_unit_bandwidth(self, n):
@@ -380,6 +401,20 @@ class TestKernelStatistic:
         want_t = np.sqrt(np.trace(H @ want_w @ H @ H @ want_g @ H)) / 5
         assert kernel_statistic(ds, spec, spec) == pytest.approx(want_t, rel=1e-6)
 
+    def test_rbf_self_blocks_of_the_duals_have_a_unit_diagonal(self, monkeypatch):
+        # k(x, x) = 1 exactly in every self-block that feeds a dual, also
+        # at d = 2, where the fused GEMM can leave an entry 1 ulp below 1.
+        ds = random_dataset(np.random.default_rng(18), K=5, n=200, d=2)
+        seen = []
+
+        def stable_dual(G, target, lam):
+            seen.append(np.count_nonzero(np.diag(G) != 1.0))
+            return _stable_dual(G, target, lam)
+
+        monkeypatch.setattr(kernel_module, "_stable_dual", stable_dual)
+        _parameter_grams(ds, KernelSpec(), KernelSpec())
+        assert seen == [0] * 10
+
     def test_rbf_runs_with_median_heuristic(self):
         rng = np.random.default_rng(10)
         ds = random_dataset(rng, K=3, n=30, d=1)
@@ -469,6 +504,23 @@ class TestKernelMintTest:
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         for spec in (LINEAR, KernelSpec(), KernelSpec(kind="linear")):
             kernel_mint_test(ds, spec, spec, M=20, seed=0)
+
+    def test_peak_memory_does_not_grow_with_M(self):
+        # Null draws in blocks: from M = 1,000 to 8,000 the peak grows by the
+        # (M, K) permutations and M null samples (and copies of those), far
+        # below one batch of (M, K, K) gathered factor rows.
+        K = 50
+        ds = random_dataset(np.random.default_rng(19), K=K, n=20, d=1)
+
+        def peak(M):
+            tracemalloc.start()
+            try:
+                kernel_mint_test(ds, KernelSpec(), KernelSpec(), M=M, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8000) - peak(1000) < 7000 * (K * 8 + 8) + 2**20
 
     def test_k2_boundary_warns_and_runs(self):
         rng = np.random.default_rng(13)

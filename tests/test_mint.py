@@ -631,6 +631,38 @@ class TestPermutationCalibration:
         assert np.count_nonzero(res.null_samples == res.statistic) > 0
         assert not res.reject
 
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["shared", "per_draw"])
+    def test_blocked_null_draws_equal_one_batch(self, monkeypatch, per_draw):
+        # 100 // (K * max(z, z')) = 4 draws a block, the last of M = 30 partial.
+        M, K = 30, 6
+        rng = np.random.default_rng(32)
+        shape = (M, K) if per_draw else (K,)
+        treatment, outcome = rng.normal(size=shape + (3,)), rng.normal(size=shape + (4,))
+        perms = mint_module._random_permutations(np.random.SeedSequence(1), M, K)
+        rows = (np.arange(M)[:, None], perms) if per_draw else perms
+        want = mint_module._batched_statistic(treatment[rows], outcome)
+        monkeypatch.setattr(mint_module, "_NULL_ELEMENTS", 100)
+        res = mint_module._permutation_result(0.5, treatment, outcome, perms, 0.05, 0, "mint")
+        assert res.null_samples.tobytes() == want.tobytes()
+
+    def test_peak_memory_does_not_grow_with_M(self):
+        # Null draws in blocks: from M = 1,000 to 8,000 the peak grows by the
+        # (M, K) permutations and M null samples (and copies of those), far
+        # below one batch of (M, K, z) gathered rows, 64 MB at M = 8,000.
+        K, z = 50, 20
+        rng = np.random.default_rng(33)
+        omegas, gammas = rng.normal(size=(K, z)), rng.normal(size=(K, z))
+
+        def peak(M):
+            tracemalloc.start()
+            try:
+                permutation_test(omegas, gammas, M=M, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8000) - peak(1000) < 7000 * (K * 8 + 8) + 2**20
+
     def test_type_one_error_near_alpha_on_direct_draws(self):
         # Parameters drawn i.i.d. from independent distributions, no
         # estimation step: rejection rate within 3 binomial SEs of alpha.
