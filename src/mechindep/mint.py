@@ -13,7 +13,7 @@ resampling tests: this one, ``permutation_test`` and the kernel variant.
 One pass over the environments (``_fits_and_refits``) fits both models on
 each environment's design and refits them on its bootstrap resamples by the
 normal equations weighted by the resample multiplicity counts, with the
-Grams of all M resamples from one GEMM per environment. One Cholesky factor
+Grams of all M resamples summed over fixed 256-row blocks. One Cholesky factor
 of the Gram of ``[X | t]``, the R of its QR (Golub & Van Loan, *Matrix
 Computations*, 5.3), vectorized over the M resamples, fits every model on
 leading columns of the design. Its rank screen is the pivoted-Cholesky
@@ -194,11 +194,14 @@ def _augmented_fits(moments: np.ndarray, entries: np.ndarray, targets, fac: np.n
 
 # Rows of one bootstrap chunk hold about this many resample counts, so the
 # chunk buffers take a few MB whatever M is.
-_CHUNK_ELEMENTS = 1 << 19
+_CHUNK_ELEMENTS = 1 << 18
 # Blocks of about this many elements stay in cache: the counts of one
 # bincount call and one row block of W. One bincount over a whole chunk ran
 # ~3x slower at n = 10,000 on a 2-vCPU Xeon (AVX-512, OpenBLAS 0.3.31).
 _BINCOUNT_ELEMENTS = 1 << 15
+# The moment products sum over blocks of this many rows of W, so no product's
+# inner dimension, and no sum's order, depends on the chunk or on BLAS threads.
+_INNER_ROWS = 256
 # Null draws are computed in blocks of about this many gathered parameter
 # entries, so the gathered, centred and cross arrays stay small whatever M is.
 _NULL_ELEMENTS = 1 << 15
@@ -210,34 +213,44 @@ def _chunk_rows(M: int, n: int) -> int:
 
 
 def _resampled_moments(
-    rng: np.random.Generator, W: np.ndarray, out: np.ndarray, buffer: np.ndarray
+    rng: np.random.Generator, W: np.ndarray, out: np.ndarray, buffer: np.ndarray,
+    products: np.ndarray,
 ) -> None:
     """Write ``counts @ W`` for ``len(out)`` bootstrap resamples of the rows of ``W``.
 
     Resample ``m`` draws ``n`` row indices with replacement; ``counts[m]``
     holds each row's multiplicity. Resamples are drawn in chunks of rows, so
     only one chunk of counts exists at a time, in the first
-    ``_chunk_rows(M, n) * n`` elements of the flat ``buffer``. Drawing the
-    rows of a chunk in one call consumes the stream exactly as one ``(M, n)``
-    draw would.
+    ``_chunk_rows(M, n) * n`` elements of the flat ``buffer``; its indices
+    are drawn one bincount group at a time, which consumes the stream exactly
+    as one ``(M, n)`` draw would. A chunk's product over the last 1 to
+    ``_INNER_ROWS`` rows of ``W`` (all of them if ``n <= _INNER_ROWS``) goes
+    to ``out``, plus the block-order sum of its products over the blocks of
+    ``_INNER_ROWS`` rows before them, stacked in the flat ``products``.
     """
-    M, n = len(out), len(W)
+    (M, P), n = out.shape, len(W)
     rows = _chunk_rows(M, n)
     group = max(1, min(rows, _BINCOUNT_ELEMENTS // n))
     offsets = (np.arange(group, dtype=np.int32) * n)[:, None]
     counts = buffer[: rows * n].reshape(rows, n)
+    nb = (n - 1) // _INNER_ROWS
+    full = nb * _INNER_ROWS
+    stack = products[: nb * rows * P].reshape(nb, rows, P)
+    blocks = W[:full].reshape(nb, _INNER_ROWS, P)
     for start in range(0, M, rows):
         r = min(rows, M - start)
-        # int32 draws consume the generator exactly as int64 draws do.
-        idx = rng.integers(0, n, size=(r, n), dtype=np.int32)
         for g0 in range(0, r, group):
             g = min(group, r - g0)
-            flat = idx[g0 : g0 + g]
-            flat += offsets[:g]
-            counts[g0 : g0 + g].reshape(-1)[:] = np.bincount(
-                flat.reshape(-1), minlength=g * n
-            )
-        np.matmul(counts[:r], W, out=out[start : start + r])
+            # int32 draws consume the generator exactly as int64 draws do.
+            idx = rng.integers(0, n, size=(g, n), dtype=np.int32)
+            idx += offsets[:g]
+            counts[g0 : g0 + g].reshape(-1)[:] = np.bincount(idx.reshape(-1), minlength=g * n)
+        chunk = counts[:r]
+        np.matmul(chunk[:, full:], W[full:], out=out[start : start + r])
+        if nb:
+            np.matmul(chunk[:, :full].reshape(r, nb, _INNER_ROWS).transpose(1, 0, 2), blocks,
+                      out=stack[:, :r])
+            out[start : start + r] += np.add.reduce(stack[:, :r], axis=0)
 
 
 def _fits_and_refits(
@@ -252,7 +265,7 @@ def _fits_and_refits(
     Returns the (K, z) and (K, z') full-data fits, as :func:`fit_mechanisms`
     gives them, then the (M, K, z) and (M, K, z') refits. Every Gram entry is
     a row of one moment matrix: ``W`` holds the column products ``U_i *
-    U_j`` of the design and ``counts @ W`` gives them in one GEMM. Shared
+    U_j`` of the design and :func:`_resampled_moments` gives them. Shared
     specs factor the Gram of ``U = [phi | Y]``, whose leading block is that
     of ``[psi | A]``, once for both models; split specs factor the two.
     """
@@ -268,14 +281,16 @@ def _fits_and_refits(
     # A row block of W of about _BINCOUNT_ELEMENTS bounds the gather's temporary.
     rows = max(1, _BINCOUNT_ELEMENTS // iu.size)
     # The moment and factor buffers have one shape in every environment, and
-    # one counts buffer holds any environment's chunk: allocated once, and
-    # freed on return, before the permutation stage builds its larger arrays.
+    # the counts and block-product buffers hold any environment's chunk:
+    # allocated once, and freed on return, before the permutation stage.
     # Allocated per environment, the moment buffers doubled the page faults
     # at the mint-flex shape, and the counts chunk at mint-tall's.
     gemm_out, moments = np.empty((M, iu.size)), np.empty((iu.size, M))
     q = max(len(c) for c, _ in groups)  # the largest Gram factored; y + 1 if shared
     fac = np.empty((q, q, M))
-    counts = np.empty(max(_chunk_rows(M, n) * n for n in dataset.sizes))
+    chunks = [(_chunk_rows(M, n), n) for n in dataset.sizes]
+    counts = np.empty(max(r * n for r, n in chunks))
+    products = np.empty(max(r * ((n - 1) // _INNER_ROWS) for r, n in chunks) * iu.size)
     for s, block in enumerate(dataset.blocks):
         U = _build_design(block, psi_spec, phi_spec, layout)
         (omegas[s], _), (gammas[s], _) = _full_fit(U, layout)
@@ -284,7 +299,7 @@ def _fits_and_refits(
             np.take(U[r : r + rows], iu, axis=1, out=W[r : r + rows], mode="clip")
             W[r : r + rows] *= U[r : r + rows, ju]
         del U
-        _resampled_moments(rng, W, gemm_out, counts)
+        _resampled_moments(rng, W, gemm_out, counts, products)
         del W  # freed before the next environment's U and W are built
         moments[:] = gemm_out.T
         fits = [_augmented_fits(moments, pos[np.ix_(c, c)], ks, fac) for c, ks in groups]
@@ -400,7 +415,7 @@ def mint_test(
 
     The bootstrap resampling and the permutations consume two separately
     derived random streams, so the two randomizations are independent. The
-    result is fixed bit for bit by ``seed`` at a given BLAS thread count.
+    result is fixed bit for bit by ``seed``, at one BLAS thread as at two.
     """
     _check_draws(M, seed, alpha)
     if not use_bootstrap:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mechindep as mi
 from mechindep import (
     EnvironmentBlock,
     KernelSpec,
@@ -24,6 +29,7 @@ from mechindep import (
 from mechindep import features as features_module
 from mechindep import kernel as kernel_module
 from mechindep import mint as mint_module
+from mechindep.harness import resolve_feature_specs
 from mechindep.mint import SMALL_K_WARNING
 
 
@@ -163,6 +169,21 @@ class TestCalibrateThreshold:
             calibrate_threshold([], 0.05)
 
 
+def integer_dataset():
+    """Three environments of 61 rows of small integers, and specs with 15 products per row."""
+    rng = np.random.default_rng(12)
+    blocks = tuple(
+        EnvironmentBlock(
+            f"e{s}",
+            rng.integers(-3, 4, size=(61, 1)).astype(float),
+            rng.integers(-3, 4, size=61).astype(float),
+            rng.integers(-3, 4, size=61).astype(float),
+        )
+        for s in range(3)
+    )
+    return MultiEnvDataset(blocks), treatment_spec(1), outcome_spec(1, interactions=True)
+
+
 def make_dataset(K=4, n=60, seed=0, confounded=False):
     from mechindep import PolynomialConfig, generate_polynomial
 
@@ -253,24 +274,21 @@ def resampled_lstsq(dataset, psi_spec, phi_spec, M, seed):
     return omegas, gammas
 
 
+LSTSQ_SPECS = [
+    (treatment_spec(1), outcome_spec(1, interactions=True, square=True)),
+    (treatment_spec(2), outcome_spec(1)),
+    (treatment_spec(1, include_intercept=False), outcome_spec(1)),
+    (treatment_spec(2), outcome_spec(3, include_intercept=False)),
+]
+
+
 class TestBatchedBootstrapFits:
     def test_chunked_draws_match_one_chunk(self, monkeypatch):
         # Small-integer data make every Gram entry an exact integer, so the
         # fits are bit-identical whatever the chunking. At odd n, chunks of 3
         # rows counted 2 rows at a time leave ragged ends at M = 20, and W
         # (15 products per row) is gathered in row blocks of 8.
-        rng = np.random.default_rng(12)
-        blocks = tuple(
-            EnvironmentBlock(
-                f"e{s}",
-                rng.integers(-3, 4, size=(61, 1)).astype(float),
-                rng.integers(-3, 4, size=61).astype(float),
-                rng.integers(-3, 4, size=61).astype(float),
-            )
-            for s in range(3)
-        )
-        ds = MultiEnvDataset(blocks)
-        psi, phi = treatment_spec(1), outcome_spec(1, interactions=True)
+        ds, psi, phi = integer_dataset()
         one = bootstrap_refits(ds, psi, phi, 20, np.random.default_rng(4))
         monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", 3 * 61 + 5)
         monkeypatch.setattr(mint_module, "_BINCOUNT_ELEMENTS", 2 * 61)
@@ -278,15 +296,33 @@ class TestBatchedBootstrapFits:
         np.testing.assert_array_equal(chunked[0], one[0])
         np.testing.assert_array_equal(chunked[1], one[1])
 
-    @pytest.mark.parametrize(
-        "psi,phi",
-        [
-            (treatment_spec(1), outcome_spec(1, interactions=True, square=True)),
-            (treatment_spec(2), outcome_spec(1)),
-            (treatment_spec(1, include_intercept=False), outcome_spec(1)),
-            (treatment_spec(2), outcome_spec(3, include_intercept=False)),
-        ],
-    )
+    @pytest.mark.parametrize("chunk", [61, 3 * 61 + 5, 7 * 61 + 60, 20 * 61])
+    def test_inner_blocks_match_one_block_on_integer_data(self, monkeypatch, chunk):
+        # Blocks of 16 rows split n = 61 into three full blocks and a tail of
+        # 13; exact integer sums give the one-block, one-chunk bits whatever
+        # the chunk (1, 3, 7 or all 20 resamples).
+        ds, psi, phi = integer_dataset()
+        one = bootstrap_refits(ds, psi, phi, 20, np.random.default_rng(4))
+        monkeypatch.setattr(mint_module, "_INNER_ROWS", 16)
+        monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", chunk)
+        blocked = bootstrap_refits(ds, psi, phi, 20, np.random.default_rng(4))
+        np.testing.assert_array_equal(blocked[0], one[0])
+        np.testing.assert_array_equal(blocked[1], one[1])
+
+    def test_real_refits_do_not_depend_on_the_chunk(self, monkeypatch):
+        # At n > _INNER_ROWS every product sums fixed blocks of rows, so
+        # chunks of 109 resamples give the bits of one chunk of all 400. One
+        # product over all 600 rows gave other bits for other row counts.
+        config = mi.LinearExampleConfig(n_envs=2, n_per_env=600, varying=frozenset({"alpha0"}))
+        ds, _ = mi.generate_linear_example(config.confounded(), np.random.default_rng(3))
+        psi, phi = resolve_feature_specs("linear_example", config, {})
+        one = bootstrap_refits(ds, psi, phi, 400, np.random.default_rng(5))
+        monkeypatch.setattr(mint_module, "_CHUNK_ELEMENTS", 1 << 16)
+        chunked = bootstrap_refits(ds, psi, phi, 400, np.random.default_rng(5))
+        assert chunked[0].tobytes() == one[0].tobytes()
+        assert chunked[1].tobytes() == one[1].tobytes()
+
+    @pytest.mark.parametrize("psi,phi", LSTSQ_SPECS)
     def test_matches_lstsq_on_resampled_rows(self, psi, phi, monkeypatch):
         from mechindep import PolynomialConfig, generate_polynomial
 
@@ -299,9 +335,15 @@ class TestBatchedBootstrapFits:
         np.testing.assert_allclose(omegas, want_omegas, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(gammas, want_gammas, rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize("psi,phi", LSTSQ_SPECS)
+    def test_inner_blocks_match_lstsq_on_resampled_rows(self, psi, phi, monkeypatch):
+        # Blocks of 16 rows: two full blocks and a tail of 9 at n = 41.
+        monkeypatch.setattr(mint_module, "_INNER_ROWS", 16)
+        self.test_matches_lstsq_on_resampled_rows(psi, phi, monkeypatch)
+
     def test_int32_draws_follow_the_int64_stream(self):
-        # The bootstrap draws row indices as int32 in chunks; both must
-        # consume the generator exactly as one int64 (M, n) draw does.
+        # The bootstrap draws row indices as int32, one bincount group of rows
+        # at a time; that must consume the generator as one int64 (M, n) draw does.
         for n, M, rows in ((7, 10, 3), (101, 13, 4), (2, 9, 9)):
             ref = np.random.default_rng(6)
             got = np.random.default_rng(6)
@@ -328,6 +370,23 @@ class TestBatchedBootstrapFits:
                 tracemalloc.stop()
 
         assert peak(800) - peak(100) < 8 * 2**20
+
+    def test_peak_memory_of_a_tall_call(self):
+        # K = 2 environments of 10,000 rows, M = 500: W (21 products per row)
+        # takes 1.6 MiB and the counts chunk 2 MiB; one bincount group's
+        # indices and counts and the block products add about 0.5 MiB. A
+        # chunk of 2^19 counts with all its int32 indices drawn at once took
+        # 9.9 MiB.
+        config = mi.LinearExampleConfig(n_envs=2, n_per_env=10_000, varying=frozenset({"alpha0"}))
+        ds, _ = mi.generate_linear_example(config, np.random.default_rng(15))
+        psi, phi = resolve_feature_specs("linear_example", config, {})
+        tracemalloc.start()
+        try:
+            mint_test(ds, psi, phi, M=500, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2**20, peak / 2**20
 
     def test_peak_memory_is_about_one_column_product_matrix(self):
         # W holds the n * P column products of U = [phi | Y]: p = 13 columns
@@ -677,3 +736,51 @@ class TestPermutationCalibration:
         rate = rejects / trials
         band = 3.0 * np.sqrt(alpha * (1 - alpha) / trials)
         assert abs(rate - alpha) <= band
+
+
+# One fixed call at n > 256 rows per environment, run in a child process.
+THREAD_CALLS = {
+    "mint": """
+config = mi.LinearExampleConfig(n_envs=3, n_per_env=1000, varying=frozenset({"alpha0"}))
+ds, _ = mi.generate_linear_example(config, np.random.default_rng(3))
+res = mi.mint_test(ds, *resolve_feature_specs("linear_example", config, {}), M=200, seed=3)
+""",
+    "kernel": """
+ds, _ = mi.generate_polynomial(mi.PolynomialConfig(4, 200), np.random.default_rng(3))
+res = mi.kernel_mint_test(ds, mi.KernelSpec(), mi.KernelSpec(), M=200, seed=3)
+""",
+}
+
+
+def null_samples_hash(test, blas_threads):
+    """SHA-256 of the null samples of ``THREAD_CALLS[test]`` in a child with that many OpenBLAS threads."""
+    code = (
+        "import hashlib\nimport numpy as np\nimport mechindep as mi\n"
+        "from mechindep.harness import resolve_feature_specs\n" + THREAD_CALLS[test]
+        + "print(hashlib.sha256(res.null_samples.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(mint_module.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=600,
+    )
+    return done.stdout.strip()
+
+
+# OpenBLAS runs at most one thread per available CPU, so on one CPU the two
+# settings are the same run and prove nothing.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@pytest.mark.parametrize(
+    "test",
+    [
+        "mint",
+        pytest.param("kernel", marks=pytest.mark.xfail(
+            CPUS >= 2, strict=True, reason="ROADMAP item 5: _stable_dual solve")),
+    ],
+)
+def test_bits_do_not_depend_on_blas_threads(test):
+    assert null_samples_hash(test, 1) == null_samples_hash(test, 2)
