@@ -12,10 +12,10 @@ resampling tests: this one, ``permutation_test`` and the kernel variant.
 
 One pass over the environments (``_fits_and_refits``) fits both models on
 each environment's design and refits them on its bootstrap resamples by the
-normal equations weighted by the resample multiplicity counts, with the
-Grams of all M resamples summed over fixed 256-row blocks. One Cholesky factor
-of the Gram of ``[X | t]``, the R of its QR (Golub & Van Loan, *Matrix
-Computations*, 5.3), vectorized over the M resamples, fits every model on
+normal equations weighted by the resample multiplicity counts: one product,
+summed over fixed 256-row blocks, packs each Gram's lower triangle for all M
+resamples, and one Cholesky factor of the Gram of ``[X | t]``, the R of its
+QR (Golub & Van Loan, *Matrix Computations*, 5.3), fits every model on
 leading columns of the design. Its rank screen is the pivoted-Cholesky
 criterion (LAPACK ``?pstrf``; Higham, *Accuracy and Stability of Numerical
 Algorithms*, ch. 10); the README gives the sweep behind ``_PIVOT_TOL``.
@@ -24,6 +24,7 @@ Algorithms*, ch. 10); the README gives the sweep behind ``_PIVOT_TOL``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,19 +173,20 @@ def _cholesky_fits(fac: np.ndarray, targets) -> tuple[list, np.ndarray]:
     return fits, first_low
 
 
-def _augmented_fits(moments: np.ndarray, entries: np.ndarray, targets, fac: np.ndarray) -> list:
-    """:func:`_cholesky_fits` in the buffer ``fac`` of the Grams whose entry (i, j) is row
-    ``entries[i, j]`` of ``moments``. A model with a low pivot before its target k is
-    refit alone from its (k + 1) block, its k diagonal entries raised by ``_RIDGE_JITTER
-    * mean``; a target in the span of its features is a perfect fit, not a deficiency."""
-    fac = fac[: len(entries), : len(entries)]
-    for i, row in enumerate(entries):  # "clip" skips take's buffered copy
-        np.take(moments, row[: i + 1], axis=0, out=fac[i, : i + 1], mode="clip")
+def _augmented_fits(packed: np.ndarray, targets, fac: np.ndarray) -> list:
+    """:func:`_cholesky_fits` in the buffer ``fac`` of the M Grams whose lower triangles, row by
+    row, are the rows of the (M, q(q + 1)/2) ``packed``. A model with a low pivot before its
+    target k is refit alone from its (k + 1) block, a prefix, its k diagonal entries raised by
+    ``_RIDGE_JITTER * mean``; a target in its features' span is a perfect fit, not a deficiency."""
+    q = math.isqrt(2 * packed.shape[1])
+    fac = fac[:q, :q]
+    fac[np.tril_indices(q)] = packed.T
     fits, first_low = _cholesky_fits(fac, targets)
     for k, x in zip(targets, fits):
         ridged = first_low < k
         if np.any(ridged):
-            sub = moments[:, ridged][entries[: k + 1, : k + 1]]
+            sub = np.empty((k + 1, k + 1, np.count_nonzero(ridged)))
+            sub[np.tril_indices(k + 1)] = packed[ridged, : (k + 1) * (k + 2) // 2].T
             diag = np.arange(k)
             lam = _RIDGE_JITTER * sub[diag, diag].mean(axis=0)
             sub[diag, diag] += np.where(lam > 0.0, lam, np.finfo(float).tiny)
@@ -254,55 +256,51 @@ def _resampled_moments(
 
 
 def _fits_and_refits(
-    dataset: MultiEnvDataset,
-    psi_spec: FeatureSpec,
-    phi_spec: FeatureSpec,
-    M: int,
+    dataset: MultiEnvDataset, psi_spec: FeatureSpec, phi_spec: FeatureSpec, M: int,
     rng: np.random.Generator,
 ):
     """Full-data fits and all M bootstrap refits, one environment at a time.
 
     Returns the (K, z) and (K, z') full-data fits, as :func:`fit_mechanisms`
     gives them, then the (M, K, z) and (M, K, z') refits. Every Gram entry is
-    a row of one moment matrix: ``W`` holds the column products ``U_i *
-    U_j`` of the design and :func:`_resampled_moments` gives them. Shared
-    specs factor the Gram of ``U = [phi | Y]``, whose leading block is that
-    of ``[psi | A]``, once for both models; split specs factor the two.
+    a column of one (M, P) moment matrix, which :func:`_resampled_moments`
+    gives from the column products ``U_i * U_j`` of the design in ``W``: each
+    factored Gram's lower triangle, row by row. Shared specs factor the Gram
+    of ``U = [phi | Y]``, whose leading block is that of ``[psi | A]``, once
+    for both models; split specs factor the two and form no psi x phi product.
     """
     psi, phi, a, y = layout = _design_layout(dataset, psi_spec, phi_spec)
     K, z, z_out = dataset.n_envs, psi.stop, phi.stop - phi.start
-    iu, ju = np.triu_indices(y + 1)
-    pos = np.empty((y + 1, y + 1), dtype=np.intp)  # the column of W holding U_i * U_j
-    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
     shared = [(np.r_[phi, y], [z, z_out])]  # [psi | A] is the leading block
     groups = [(np.r_[psi, a], [z]), (np.r_[phi, y], [z_out])] if phi.start else shared
+    il, jl = np.hstack([c[np.vstack(np.tril_indices(len(c)))] for c, _ in groups])
+    ends = np.cumsum([len(c) * (len(c) + 1) // 2 for c, _ in groups])[:-1]
     omegas, gammas = np.empty((K, z)), np.empty((K, z_out))
     refits = np.empty((M, K, z)), np.empty((M, K, z_out))
     # A row block of W of about _BINCOUNT_ELEMENTS bounds the gather's temporary.
-    rows = max(1, _BINCOUNT_ELEMENTS // iu.size)
+    rows = max(1, _BINCOUNT_ELEMENTS // il.size)
     # The moment and factor buffers have one shape in every environment, and
     # the counts and block-product buffers hold any environment's chunk:
-    # allocated once, and freed on return, before the permutation stage.
-    # Allocated per environment, the moment buffers doubled the page faults
-    # at the mint-flex shape, and the counts chunk at mint-tall's.
-    gemm_out, moments = np.empty((M, iu.size)), np.empty((iu.size, M))
+    # allocated once (per environment, they doubled mint-flex's and
+    # mint-tall's page faults) and freed on return, before the permutation stage.
+    moments = np.empty((M, il.size))
     q = max(len(c) for c, _ in groups)  # the largest Gram factored; y + 1 if shared
     fac = np.empty((q, q, M))
     chunks = [(_chunk_rows(M, n), n) for n in dataset.sizes]
     counts = np.empty(max(r * n for r, n in chunks))
-    products = np.empty(max(r * ((n - 1) // _INNER_ROWS) for r, n in chunks) * iu.size)
+    products = np.empty(max(r * ((n - 1) // _INNER_ROWS) for r, n in chunks) * il.size)
     for s, block in enumerate(dataset.blocks):
         U = _build_design(block, psi_spec, phi_spec, layout)
         (omegas[s], _), (gammas[s], _) = _full_fit(U, layout)
-        W = np.empty((len(U), iu.size))
+        W = np.empty((len(U), il.size))
         for r in range(0, len(U), rows):  # "clip" skips take's buffered copy
-            np.take(U[r : r + rows], iu, axis=1, out=W[r : r + rows], mode="clip")
-            W[r : r + rows] *= U[r : r + rows, ju]
+            np.take(U[r : r + rows], il, axis=1, out=W[r : r + rows], mode="clip")
+            W[r : r + rows] *= U[r : r + rows, jl]
         del U
-        _resampled_moments(rng, W, gemm_out, counts, products)
+        _resampled_moments(rng, W, moments, counts, products)
         del W  # freed before the next environment's U and W are built
-        moments[:] = gemm_out.T
-        fits = [_augmented_fits(moments, pos[np.ix_(c, c)], ks, fac) for c, ks in groups]
+        packed = zip(np.split(moments, ends, axis=1), groups)
+        fits = [_augmented_fits(p, ks, fac) for p, (_, ks) in packed]
         for refit, x in zip(refits, sum(fits, [])):
             refit[:, s, :] = x.T
     return omegas, gammas, *refits
@@ -310,6 +308,9 @@ def _fits_and_refits(
 
 def _check_draws(M: int, seed: int, alpha: float) -> None:
     """Reject a null-draw count, seed or level before any work is done."""
+    for name, value in (("M", M), ("seed", seed)):  # a bool is Integral, but no count
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
     if seed < 0:
@@ -422,9 +423,7 @@ def mint_test(
         fit = fit_mechanisms(dataset, psi_spec, phi_spec)
         return permutation_test(fit.omegas, fit.gammas, alpha, M, seed)
     boot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    omegas, gammas, omegas_b, gammas_b = _fits_and_refits(
-        dataset, psi_spec, phi_spec, M, boot_rng
-    )
+    omegas, gammas, omegas_b, gammas_b = _fits_and_refits(dataset, psi_spec, phi_spec, M, boot_rng)
     statistic = frobenius_statistic(omegas, gammas)
     perms = _mint_permutations(seed, M, dataset.n_envs)
     return _permutation_result(statistic, omegas_b, gammas_b, perms, alpha, seed, METHOD_MINT)

@@ -15,7 +15,8 @@ for byte as it was; with no name, every case is re-recorded.
 ``PYTHONPATH=src python tests/test_golden.py --compare [NAME...]`` writes
 nothing: for each case it prints whether the statistic, threshold, reject
 and p-value equal the recorded ones (the p-value is recomputed from the
-recorded null samples), and the largest relative move of a null sample.
+recorded null samples), and the largest relative move of a null sample,
+and it exits with status 1 if any case would fail ``test_matches_golden``.
 """
 
 import json
@@ -124,7 +125,14 @@ def record_line(name: str) -> str:
     return f"{json.dumps(name)}: {json.dumps(record)}"
 
 
-def compare_line(name: str, expected: dict) -> str:
+def relative_move(got, recorded) -> np.ndarray:
+    move = np.abs(np.array(got, dtype=float, ndmin=1) - recorded)
+    np.divide(move, np.abs(recorded), out=move, where=move > 0)
+    return move
+
+
+def compare_line(name: str, expected: dict) -> tuple[str, bool]:
+    """The ``--compare`` line of one case, and whether it passes ``test_matches_golden``."""
     result = run_case(name)
     recorded = np.asarray(expected["null_samples"])
     exceed = np.count_nonzero(recorded >= expected["statistic"])
@@ -134,10 +142,15 @@ def compare_line(name: str, expected: dict) -> str:
         "reject": (bool(result.reject), expected["reject"]),
         "p_value": (result.p_value, float((1 + exceed) / (len(recorded) + 1))),
     }
-    move = np.abs(result.null_samples - recorded)
-    np.divide(move, np.abs(recorded), out=move, where=move > 0)
+    move = relative_move(result.null_samples, recorded)
     same = ", ".join(f"{k} {'equal' if a == b else 'differs'}" for k, (a, b) in fields.items())
-    return f"{name}: {same}; null samples move by up to {move.max(initial=0.0):.2g} relative"
+    passes = (
+        result.statistic == expected["statistic"] and result.reject == expected["reject"]
+        and bool(np.all(move <= RTOL))
+        and bool(np.all(relative_move(result.threshold, expected["threshold"]) <= RTOL))
+    )
+    line = f"{name}: {same}; null samples move by up to {move.max(initial=0.0):.2g} relative"
+    return line, passes
 
 
 if __name__ == "__main__":
@@ -148,9 +161,12 @@ if __name__ == "__main__":
         sys.exit(f"unknown case(s): {', '.join(unknown)}")
     if compare:
         recorded = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        passed = True
         for name in names:
-            print(compare_line(name, recorded[name]))
-        sys.exit(0)
+            line, passes = compare_line(name, recorded[name])
+            print(line)
+            passed &= passes
+        sys.exit(0 if passed else 1)
     # One line per case; the lines of cases not named are kept as they are.
     old = GOLDEN_PATH.read_text(encoding="utf-8").splitlines()[1:-1] if GOLDEN_PATH.exists() else []
     lines = {json.loads(line.split(":", 1)[0]): line.rstrip(",") for line in old}

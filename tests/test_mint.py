@@ -442,6 +442,24 @@ class TestOnePass:
         res = mint_test(ds, psi, phi, M=50, seed=17)
         assert res.statistic == frobenius_statistic(fit.omegas, fit.gammas)
 
+    def test_split_specs_form_only_the_factored_triangles(self, monkeypatch):
+        # W holds the lower triangles of the Grams of [psi | A] and [phi | Y],
+        # and no psi x phi product, which no Gram reads.
+        ds = generate_polynomial(PolynomialConfig(2, 300, 2, 2), np.random.default_rng(17))[0]
+        widths = []
+        resampled_moments = mint_module._resampled_moments
+
+        def recorded(rng, W, *buffers):
+            widths.append(W.shape[1])
+            return resampled_moments(rng, W, *buffers)
+
+        monkeypatch.setattr(mint_module, "_resampled_moments", recorded)
+        psi, phi = SPLIT_SPECS
+        mint_test(ds, psi, phi, M=20, seed=17)
+        z, z_out = psi.output_dim(ds.d), phi.output_dim(ds.d)
+        assert widths == [(z + 1) * (z + 2) // 2 + (z_out + 1) * (z_out + 2) // 2] * ds.n_envs
+        assert widths[0] == 30
+
     @pytest.mark.parametrize(
         "psi,phi,match",
         [
@@ -464,17 +482,13 @@ class TestOnePass:
 def augmented_fits(design, targets):
     """``_augmented_fits`` on the Grams of the (M, n, q) augmented designs.
 
-    The Grams are packed as ``_fits_and_refits`` packs them: row ``entries[i,
-    j]`` of the (P, M) moments holds entry (i, j). Returns the (M, k) fits.
+    The Grams are packed as ``_fits_and_refits`` packs them: row m of the (M,
+    P) moments holds Gram m's lower triangle, row by row. Returns the (M, k) fits.
     """
     M, _, q = design.shape
-    grams = design.transpose(0, 2, 1) @ design
-    iu, ju = np.triu_indices(q)
-    entries = np.empty((q, q), dtype=np.intp)
-    entries[iu, ju] = entries[ju, iu] = np.arange(iu.size)
-    moments = np.ascontiguousarray(grams[:, iu, ju].T)
+    packed = (design.transpose(0, 2, 1) @ design)[(slice(None), *np.tril_indices(q))]
     # A buffer larger than the Grams, as split specs pass for [psi | A].
-    fits = mint_module._augmented_fits(moments, entries, targets, np.empty((q + 2, q + 2, M)))
+    fits = mint_module._augmented_fits(packed, targets, np.empty((q + 2, q + 2, M)))
     return [x.T for x in fits]
 
 
@@ -643,10 +657,9 @@ class TestMintTest:
         assert res5.warnings == ()
 
 
-@pytest.mark.parametrize("test", ["mint", "permutation", "kernel"])
-def test_negative_seed_rejected_before_any_work(monkeypatch, test):
-    # A bad level too: no test may compute a null statistic before the
-    # level is checked.
+@pytest.fixture
+def calls(monkeypatch):
+    """The three resampling tests, each failing if it starts work."""
     def no_work(*args):
         raise AssertionError("work started before the arguments were checked")
 
@@ -654,15 +667,38 @@ def test_negative_seed_rejected_before_any_work(monkeypatch, test):
     monkeypatch.setattr(mint_module, "_batched_statistic", no_work)
     monkeypatch.setattr(kernel_module, "_parameter_grams", no_work)
     ds = make_dataset()
-    calls = {
+    return {
         "mint": lambda **kw: mint_test(ds, treatment_spec(1), outcome_spec(1), **kw),
         "permutation": lambda **kw: permutation_test(np.ones((3, 1)), np.ones((3, 1)), **kw),
         "kernel": lambda **kw: kernel_mint_test(ds, KernelSpec(), KernelSpec(), **kw),
     }
+
+
+@pytest.mark.parametrize("test", ["mint", "permutation", "kernel"])
+def test_negative_seed_rejected_before_any_work(calls, test):
+    # A bad level too: no test may compute a null statistic before the
+    # level is checked.
     with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
         calls[test](seed=-1)
     with pytest.raises(ValidationError, match=r"^alpha must lie in \(0, 1\), got 1.5$"):
         calls[test](alpha=1.5)
+
+
+@pytest.mark.parametrize("test", ["mint", "permutation", "kernel"])
+@pytest.mark.parametrize(
+    "name,value", [("seed", True), ("seed", 1.0), ("M", 10.0), ("M", False), ("M", "10")]
+)
+def test_non_integer_draws_rejected_before_any_work(calls, test, name, value):
+    # A bool seed used to run and be recorded as true; a float M failed in numpy.
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got {value!r}$"):
+        calls[test](**{name: value})
+
+
+def test_numpy_integer_draws_accepted():
+    omegas, gammas = np.random.default_rng(4).normal(size=(2, 5, 2))
+    want = permutation_test(omegas, gammas, M=30, seed=3)
+    got = permutation_test(omegas, gammas, M=np.int64(30), seed=np.uint32(3))
+    np.testing.assert_array_equal(got.null_samples, want.null_samples)
 
 
 class TestPermutationCalibration:
@@ -749,6 +785,13 @@ res = mi.mint_test(ds, *resolve_feature_specs("linear_example", config, {}), M=2
 ds, _ = mi.generate_polynomial(mi.PolynomialConfig(4, 200), np.random.default_rng(3))
 res = mi.kernel_mint_test(ds, mi.KernelSpec(), mi.KernelSpec(), M=200, seed=3)
 """,
+    # Split specs: W holds two Grams' triangles; golden split_specs_poly_n300's shape.
+    "split": """
+config = mi.PolynomialConfig(3, 300, 2, 2, confounded=True)
+ds, _ = mi.generate_polynomial(config, np.random.default_rng(3))
+psi, phi = mi.treatment_spec(2, include_intercept=False), mi.outcome_spec(1)
+res = mi.mint_test(ds, psi, phi, M=200, seed=3)
+""",
 }
 
 
@@ -778,6 +821,7 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.
     "test",
     [
         "mint",
+        "split",
         pytest.param("kernel", marks=pytest.mark.xfail(
             CPUS >= 2, strict=True, reason="ROADMAP item 5: _stable_dual solve")),
     ],
