@@ -31,8 +31,6 @@ from .errors import (
     ValidationError,
 )
 from .estimation import (
-    EnvironmentDiagnostics,
-    FitDiagnostics,
     MechanismEstimates,
     fit_mechanisms,
     least_squares_fit,
@@ -88,10 +86,8 @@ __all__ = [
     "BenchmarkRow",
     "CovariatePanel",
     "EnvironmentBlock",
-    "EnvironmentDiagnostics",
     "ExperimentConfig",
     "FeatureSpec",
-    "FitDiagnostics",
     "GroundTruth",
     "KernelSpec",
     "LinearExampleConfig",

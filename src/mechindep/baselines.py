@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .dataset import MultiEnvDataset, as_float_vector
+from .dataset import MultiEnvDataset, as_float_vector, check_alpha
 from .errors import ValidationError
 from .estimation import _lstsq_full_rank
 from .features import FeatureSpec, build_outcome_features
@@ -54,6 +54,12 @@ def combine_tippett(p_values) -> float:
     return float(1.0 - (1.0 - min(values)) ** k)
 
 
+def _rss(design: np.ndarray, target: np.ndarray) -> float:
+    """Residual sum of squares of the least-squares fit of ``target`` on ``design``."""
+    resid = target - design @ _lstsq_full_rank(design, target)
+    return float(resid @ resid)
+
+
 def transportability_test(
     dataset: MultiEnvDataset,
     phi_spec: FeatureSpec,
@@ -71,8 +77,7 @@ def transportability_test(
     ``alpha`` as the threshold, and the analytic p-value; ``resamples_M`` is 0
     because no resampling is involved.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     K = dataset.n_envs
     feature_blocks = [build_outcome_features(b.X, b.A, phi_spec) for b in dataset.blocks]
     pooled, y = np.vstack(feature_blocks), np.concatenate([b.Y for b in dataset.blocks])
@@ -84,12 +89,8 @@ def transportability_test(
             f"{df_full} plus one"
         )
 
-    _, rss_restricted, _ = _lstsq_full_rank(pooled, y)
-    rss_full = 0.0
-    for block, feats in zip(dataset.blocks, feature_blocks):
-        _, rss_s, _ = _lstsq_full_rank(feats, block.Y)
-        rss_full += rss_s
-
+    rss_restricted = _rss(pooled, y)
+    rss_full = sum(_rss(feats, block.Y) for block, feats in zip(dataset.blocks, feature_blocks))
     delta_df = df_full - z_out
     denom_df = n - df_full
     numerator = max(rss_restricted - rss_full, 0.0) / delta_df

@@ -25,6 +25,14 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def check_alpha(alpha) -> None:
+    """Raise ValidationError unless the level ``alpha`` is a real number in (0, 1)."""
+    if not is_real(alpha):
+        raise ValidationError(f"alpha must be a real number, got {alpha!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def as_float_matrix(x, name: str) -> np.ndarray:
     """Coerce to a finite 2-d float array, raising ValidationError otherwise."""
     arr = np.asarray(x, dtype=float)
@@ -43,6 +51,17 @@ def as_float_vector(x, name: str) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_environments(ids: list, dims: list) -> None:
+    """At least two environments, one covariate dimension ``d`` and distinct ids."""
+    if len(ids) < 2:
+        raise ValidationError(f"need at least 2 environments, got {len(ids)}")
+    for env_id, d in zip(ids[1:], dims[1:]):
+        if d != dims[0]:
+            raise ValidationError(f"environment {env_id!r} has d={d}, expected {dims[0]}")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"environment ids are not distinct: {ids}")
 
 
 @dataclass(frozen=True)
@@ -103,17 +122,7 @@ class MultiEnvDataset:
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
-        if len(blocks) < 2:
-            raise ValidationError(f"need at least 2 environments, got {len(blocks)}")
-        d = blocks[0].d
-        for b in blocks[1:]:
-            if b.d != d:
-                raise ValidationError(
-                    f"environment {b.env_id!r} has d={b.d}, expected {d}"
-                )
-        ids = [b.env_id for b in blocks]
-        if len(set(ids)) != len(ids):
-            raise ValidationError(f"environment ids are not distinct: {ids}")
+        _check_environments([b.env_id for b in blocks], [b.d for b in blocks])
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -146,23 +155,12 @@ class CovariatePanel:
 
     def __post_init__(self):
         blocks = []
-        seen = set()
         for env_id, X in self.blocks:
             X = as_float_matrix(X, f"X[{env_id}]")
             if X.shape[0] < 1:
                 raise ValidationError(f"environment {env_id!r} is empty")
-            if env_id in seen:
-                raise ValidationError(f"duplicate environment id {env_id!r}")
-            seen.add(env_id)
             blocks.append((env_id, _readonly(np.array(X))))
-        if len(blocks) < 2:
-            raise ValidationError(f"need at least 2 environments, got {len(blocks)}")
-        d = blocks[0][1].shape[1]
-        for env_id, X in blocks[1:]:
-            if X.shape[1] != d:
-                raise ValidationError(
-                    f"environment {env_id!r} has d={X.shape[1]}, expected {d}"
-                )
+        _check_environments([env_id for env_id, _ in blocks], [X.shape[1] for _, X in blocks])
         object.__setattr__(self, "blocks", tuple(blocks))
 
     @property

@@ -20,21 +20,6 @@ _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class FitDiagnostics:
-    """Diagnostics of one least-squares fit (one model in one environment)."""
-
-    residual_variance: float  # RSS / (n - m), unbiased under the working model
-    design_condition_estimate: float  # sigma_max / sigma_min of the design, >= 1
-
-
-@dataclass(frozen=True)
-class EnvironmentDiagnostics:
-    env_id: str
-    treatment: FitDiagnostics
-    outcome: FitDiagnostics
-
-
-@dataclass(frozen=True)
 class MechanismEstimates:
     """Fitted mechanism parameters for every environment.
 
@@ -44,7 +29,6 @@ class MechanismEstimates:
 
     omegas: np.ndarray  # (K, z)
     gammas: np.ndarray  # (K, z')
-    diagnostics: tuple[EnvironmentDiagnostics, ...]
     env_ids: tuple[str, ...]
 
     def __post_init__(self):
@@ -58,7 +42,6 @@ class MechanismEstimates:
             raise ValidationError("env_ids length must equal K")
         object.__setattr__(self, "omegas", _readonly(np.array(omegas)))
         object.__setattr__(self, "gammas", _readonly(np.array(gammas)))
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         object.__setattr__(self, "env_ids", tuple(self.env_ids))
 
 
@@ -74,14 +57,16 @@ def _find_deficient_columns(design: np.ndarray, rank: int) -> tuple[int, ...]:
     return tuple(sorted(int(j) for j in piv[rank:]))
 
 
-def _lstsq_full_rank(design: np.ndarray, target: np.ndarray):
-    """Solve min ||design b - target|| via SVD; raise on rank deficiency.
+def _lstsq_full_rank(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Coefficients minimizing ``||design b - target||``, via SVD.
 
-    Returns (coefficients, residual sum of squares, condition estimate).
+    Raises RankDeficientError, naming a deficient column subset, when the
+    design is numerically rank deficient. Unlike :func:`least_squares_fit` it
+    does not check ``n > m``: a design with too few rows fails on its rank.
     """
     n, m = design.shape
     rcond = max(n, m) * _EPS
-    beta, _, rank, svals = np.linalg.lstsq(design, target, rcond=rcond)
+    beta, _, rank, _ = np.linalg.lstsq(design, target, rcond=rcond)
     if rank < m:
         cols = _find_deficient_columns(design, rank)
         raise RankDeficientError(
@@ -89,9 +74,7 @@ def _lstsq_full_rank(design: np.ndarray, target: np.ndarray):
             f"dependent column subset: {list(cols)}",
             deficient_columns=cols,
         )
-    resid = target - design @ beta
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf
-    return beta, float(resid @ resid), cond
+    return beta
 
 
 def least_squares_fit(design, target) -> np.ndarray:
@@ -122,8 +105,7 @@ def least_squares_fit(design, target) -> np.ndarray:
         )
     if n <= m:
         raise ValidationError(f"least-squares fit needs n > m, got n={n}, m={m}")
-    beta, _, _ = _lstsq_full_rank(design, target)
-    return beta
+    return _lstsq_full_rank(design, target)
 
 
 class _DesignLayout(NamedTuple):
@@ -171,13 +153,11 @@ def _build_design(block, psi_spec: FeatureSpec, phi_spec: FeatureSpec, layout: _
 
 
 def _full_fit(U: np.ndarray, layout: _DesignLayout):
-    """``(coefficients, diagnostics)`` of the treatment, then the outcome model."""
-    fits = []
-    for cols, target in ((layout.psi, layout.a_col), (layout.phi, layout.y_col)):
-        beta, rss, cond = _lstsq_full_rank(U[:, cols], U[:, target])
-        # n > m in every environment, by _design_layout's check.
-        fits.append((beta, FitDiagnostics(rss / (len(U) - len(beta)), max(cond, 1.0))))
-    return fits
+    """Coefficients of the treatment, then the outcome model, on one design ``U``."""
+    return (
+        _lstsq_full_rank(U[:, layout.psi], U[:, layout.a_col]),
+        _lstsq_full_rank(U[:, layout.phi], U[:, layout.y_col]),
+    )
 
 
 def fit_mechanisms(
@@ -189,7 +169,7 @@ def fit_mechanisms(
 
     For each environment ``s``, the treatment coefficients regress ``A_s`` on
     ``build_treatment_features(X_s)`` and the outcome coefficients regress
-    ``Y_s`` on ``build_outcome_features(X_s, A_s)``.
+    ``Y_s`` on ``build_outcome_features(X_s, A_s)``. Only coefficients are kept.
 
     Raises
     ------
@@ -201,9 +181,7 @@ def fit_mechanisms(
     layout = _design_layout(dataset, psi_spec, phi_spec)
     omegas = np.empty((dataset.n_envs, layout.psi.stop))
     gammas = np.empty((dataset.n_envs, layout.phi.stop - layout.phi.start))
-    diags = []
     for s, block in enumerate(dataset.blocks):
         U = _build_design(block, psi_spec, phi_spec, layout)
-        (omegas[s], d_t), (gammas[s], d_o) = _full_fit(U, layout)
-        diags.append(EnvironmentDiagnostics(block.env_id, d_t, d_o))
-    return MechanismEstimates(omegas, gammas, tuple(diags), dataset.env_ids)
+        omegas[s], gammas[s] = _full_fit(U, layout)
+    return MechanismEstimates(omegas, gammas, dataset.env_ids)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MultiEnvDataset, as_float_matrix, as_float_vector
+from .dataset import MultiEnvDataset, as_float_matrix, as_float_vector, check_alpha
 from .errors import ValidationError
 from .estimation import _build_design, _design_layout, _full_fit, fit_mechanisms
 from .features import FeatureSpec
@@ -71,8 +71,7 @@ class TestResult:
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if not 0.0 < self.p_value <= 1.0:
             raise ValidationError(f"p_value must lie in (0, 1], got {self.p_value}")
         if self.statistic < 0 or self.threshold < 0:
@@ -128,8 +127,7 @@ def calibrate_threshold(null_samples, alpha: float) -> float:
     M = samples.shape[0]
     if M < 1:
         raise ValidationError("null_samples must be non-empty")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     ordered = np.sort(samples)
     # Guard the float ceil against representation error, then verify directly.
     idx = max(1, math.ceil(M * (1.0 - alpha) - 1e-9))
@@ -291,7 +289,7 @@ def _fits_and_refits(
     products = np.empty(max(r * ((n - 1) // _INNER_ROWS) for r, n in chunks) * il.size)
     for s, block in enumerate(dataset.blocks):
         U = _build_design(block, psi_spec, phi_spec, layout)
-        (omegas[s], _), (gammas[s], _) = _full_fit(U, layout)
+        omegas[s], gammas[s] = _full_fit(U, layout)
         W = np.empty((len(U), il.size))
         for r in range(0, len(U), rows):  # "clip" skips take's buffered copy
             np.take(U[r : r + rows], il, axis=1, out=W[r : r + rows], mode="clip")
@@ -315,8 +313,7 @@ def _check_draws(M: int, seed: int, alpha: float) -> None:
         raise ValidationError(f"M must be >= 1, got {M}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
 
 
 def _random_permutations(seed: np.random.SeedSequence, M: int, K: int) -> np.ndarray:

@@ -14,6 +14,7 @@ while the beta form stays near 1e-13.
 
 from __future__ import annotations
 
+from .dataset import check_alpha
 from .errors import ValidationError
 
 # Each wrapper imports scipy.special itself: the import adds ~24 MB of
@@ -37,8 +38,7 @@ def f_survival(F: float, d1: int, d2: int) -> float:
 
 def f_critical_value(alpha: float, d1: int, d2: int) -> float:
     """Value t with ``f_survival(t, d1, d2) == alpha``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    check_alpha(alpha)
     _check_dof(d1, d2)
     from scipy.special import betaincinv
 

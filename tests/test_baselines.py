@@ -4,8 +4,11 @@ import pytest
 from mechindep import (
     EnvironmentBlock,
     MultiEnvDataset,
+    PolynomialConfig,
     RankDeficientError,
     ValidationError,
+    build_outcome_features,
+    generate_polynomial,
     outcome_spec,
     transportability_test,
 )
@@ -75,6 +78,26 @@ class TestTransportabilityTest:
         a = transportability_test(ds, outcome_spec(1))
         b = transportability_test(relabeled, outcome_spec(1))
         assert a.statistic == pytest.approx(b.statistic, rel=1e-9)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_statistic_matches_nested_model_f(self, degree):
+        # The partial F of pooled against per-environment fits, each residual
+        # sum of squares from its own np.linalg.lstsq.
+        config = PolynomialConfig(5, 60, n_covariates=2, degree=2, confounded=True)
+        ds, _ = generate_polynomial(config, np.random.default_rng(8))
+        phi = outcome_spec(degree)
+        feats = [build_outcome_features(b.X, b.A, phi) for b in ds.blocks]
+
+        def rss(design, target):
+            resid = target - design @ np.linalg.lstsq(design, target, rcond=None)[0]
+            return resid @ resid
+
+        rss_pooled = rss(np.vstack(feats), np.concatenate([b.Y for b in ds.blocks]))
+        rss_full = sum(rss(f, b.Y) for f, b in zip(feats, ds.blocks))
+        K, z_out, n = ds.n_envs, feats[0].shape[1], sum(ds.sizes)
+        want = ((rss_pooled - rss_full) / ((K - 1) * z_out)) / (rss_full / (n - K * z_out))
+        got = transportability_test(ds, phi).statistic
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_result_contract(self):
         ds = linear_dataset(3, 60, seed=41)

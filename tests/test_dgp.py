@@ -8,6 +8,7 @@ from mechindep import (
     OracleParams,
     PolynomialConfig,
     ValidationError,
+    build_outcome_features,
     fit_mechanisms,
     frobenius_statistic,
     generate_linear_example,
@@ -98,8 +99,12 @@ class TestPolynomialGenerator:
         # Pooled residual std of a well-specified outcome fit ~ noise_std.
         config = PolynomialConfig(2, 100_000, n_covariates=1, degree=2)
         ds, _ = generate_polynomial(config, np.random.default_rng(23))
-        est = fit_mechanisms(ds, treatment_spec(2), outcome_spec(2))
-        resid_vars = [d.outcome.residual_variance for d in est.diagnostics]
+        phi = outcome_spec(2)
+        est = fit_mechanisms(ds, treatment_spec(2), phi)
+        resid_vars = []
+        for block, gamma in zip(ds.blocks, est.gammas):
+            resid = block.Y - build_outcome_features(block.X, block.A, phi) @ gamma
+            resid_vars.append(resid @ resid / (block.n - gamma.size))
         assert np.sqrt(np.mean(resid_vars)) == pytest.approx(0.5, rel=0.02)
 
     def test_beta_intercept_switch(self):

@@ -28,6 +28,8 @@ DELETED_NAMES = {
     "regularized_incomplete_beta",
     "regularized_upper_gamma",
     "student_t_two_sided_pvalue",
+    "FitDiagnostics",
+    "EnvironmentDiagnostics",
 }
 
 
@@ -109,6 +111,7 @@ DELETED_FIELDS = {
         "alpha0", "alpha_x", "beta0", "beta_x", "beta_a", "beta_ax", "mu_x", "mu_u",
     },
     mechindep.SemiSyntheticSpec: {"noise_std", "resample_beta_intercept"},
+    mechindep.MechanismEstimates: {"diagnostics"},
 }
 
 

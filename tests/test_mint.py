@@ -684,6 +684,27 @@ def test_negative_seed_rejected_before_any_work(calls, test):
         calls[test](alpha=1.5)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["result", "calibrate", "mint", "permutation", "kernel", "transportability", "f_critical"],
+)
+@pytest.mark.parametrize("alpha", ["0.05", None, True])
+def test_non_real_alpha_rejected(calls, entry, alpha):
+    # The type is checked before `0.0 < alpha`, which raises a bare TypeError
+    # for a string or None; a bool is no level.
+    ds = make_dataset()
+    entries = {
+        **calls,
+        "result": lambda **kw: mi.TestResult(1.0, 2.0, 0.5, False, resamples_M=9, seed=0,
+                                             method="mint", **kw),
+        "calibrate": lambda **kw: calibrate_threshold([1.0, 2.0], **kw),
+        "transportability": lambda **kw: mi.transportability_test(ds, outcome_spec(1), **kw),
+        "f_critical": lambda **kw: mi.f_critical_value(d1=2, d2=10, **kw),
+    }
+    with pytest.raises(ValidationError, match=rf"^alpha must be a real number, got {alpha!r}$"):
+        entries[entry](alpha=alpha)
+
+
 @pytest.mark.parametrize("test", ["mint", "permutation", "kernel"])
 @pytest.mark.parametrize(
     "name,value", [("seed", True), ("seed", 1.0), ("M", 10.0), ("M", False), ("M", "10")]
